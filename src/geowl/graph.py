@@ -412,7 +412,10 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
     if "cutoff" in data:
         if "edges" in data:
             raise GraphFormatError("give either 'edges' or 'cutoff', not both")
-        r = parse_component(data["cutoff"], mode)
+        try:
+            r = parse_component(data["cutoff"], mode)
+        except NumericError as exc:
+            raise GraphFormatError(f"bad cutoff: {exc}") from exc
         return build_radial_graph(points, r, mode=mode, eps=eps)
     edges = [tuple(e) for e in data.get("edges", ())]
     return geometric_graph(

@@ -9,8 +9,6 @@ the sequences span the full space.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .numeric import EXACT, Number, NumericContext, Vec
@@ -179,6 +177,19 @@ class GramMatcher:
     chosen maximal independent subset must agree at corresponding indices.
     Rank below the ambient dimension collapses the proper check to the
     orthogonal one (a reflection fixing the span completes any rotation).
+
+    In exact mode the matcher keeps `basis`, the positions in v1 of the
+    greedy independent prefix (what independent_subset(v1, ctx, dim)
+    returns), and a push compares the norm and the dots against the basis
+    pairs only, O(dim) instead of O(len(v1)). That accepts exactly what the
+    all-pairs check accepts: the basis pairs have equal Gram matrices, and
+    every other accepted pair (u, w) has the same coefficients c on both
+    sides, u = sum c_i b1_i and w = sum c_i b2_i, since w's dots against
+    the basis fix its projection onto the span and the equal norm leaves no
+    orthogonal remainder. So <a, u> = sum c_i <a, b1_i> = sum c_i <b, b2_i>
+    = <b, w> for a candidate (a, b) that matches the basis dots. Float mode
+    checks every earlier pair: under a tolerance, agreement with the basis
+    does not bound the error against the other vectors.
     """
 
     def __init__(self, ctx: NumericContext, dim: int, proper: bool):
@@ -189,16 +200,33 @@ class GramMatcher:
         self.v2: List[Vec] = []
         self.i1: List[int] = []
         self.i2: List[int] = []
+        self.basis: Optional[List[int]] = [] if ctx.mode == EXACT else None
 
     def push(self, a: Vec, b: Vec) -> bool:
-        ctx = self.ctx
         d = _dot_cached
         ia, ib = _vec_id(a), _vec_id(b)
-        if not ctx.eq(d(ia, ia, a, a), d(ib, ib, b, b)):
-            return False
-        for u, iu, w, iw in zip(self.v1, self.i1, self.v2, self.i2):
-            if not ctx.eq(d(ia, iu, a, u), d(ib, iw, b, w)):
+        basis = self.basis
+        if basis is None:
+            ctx = self.ctx
+            if not ctx.eq(d(ia, ia, a, a), d(ib, ib, b, b)):
                 return False
+            for u, iu, w, iw in zip(self.v1, self.i1, self.v2, self.i2):
+                if not ctx.eq(d(ia, iu, a, u), d(ib, iw, b, w)):
+                    return False
+        else:
+            v1, i1, v2, i2 = self.v1, self.i1, self.v2, self.i2
+            if d(ia, ia, a, a) != d(ib, ib, b, b):
+                return False
+            for k in basis:
+                if d(ia, i1[k], a, v1[k]) != d(ib, i2[k], b, v2[k]):
+                    return False
+            if len(basis) < self.dim:
+                # independent of the basis iff the Gram determinant of
+                # basis + candidate is non-zero; every entry is cached
+                rows = [(i1[k], v1[k]) for k in basis] + [(ia, a)]
+                gram = [[d(ip, iq, p, q) for iq, q in rows] for ip, p in rows]
+                if det(gram) != 0:
+                    basis.append(len(v1))
         self.v1.append(a)
         self.i1.append(ia)
         self.v2.append(b)
@@ -213,8 +241,14 @@ class GramMatcher:
         del self.v2[mark:]
         del self.i1[mark:]
         del self.i2[mark:]
+        basis = self.basis
+        if basis is not None:
+            while basis and basis[-1] >= mark:
+                basis.pop()
 
     def rank_indices(self) -> List[int]:
+        if self.basis is not None:
+            return list(self.basis)
         return independent_subset(self.v1, self.ctx, self.dim)
 
     def orientation_ok(self) -> bool:

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 EXACT = "exact"
 FLOAT = "float"
@@ -55,7 +55,7 @@ class NumericContext:
             # integral values stay plain ints: exact arithmetic on ints is
             # far cheaper than on Fractions, and the two compare/hash equal
             return int(value) if value.denominator == 1 else value
-        return float(value)
+        return _finite_float(value)
 
     def eq(self, a: Number, b: Number) -> bool:
         if self.mode == EXACT:
@@ -86,9 +86,6 @@ class NumericContext:
         if self.mode == EXACT:
             return a < b
         return a < b and not self.eq(a, b)
-
-    def seq_eq(self, xs: Sequence[Number], ys: Sequence[Number]) -> bool:
-        return len(xs) == len(ys) and all(self.eq(a, b) for a, b in zip(xs, ys))
 
 
 def exact_context() -> NumericContext:
@@ -121,8 +118,21 @@ def parse_component(raw, mode: str) -> Number:
             return Fraction(raw)
         raise NumericError(f"exact component must be 'p/q' or int, got {raw!r}")
     if isinstance(raw, (int, float)):
-        return float(raw)
+        return _finite_float(raw)
     raise NumericError(f"float component must be a number, got {raw!r}")
+
+
+def _finite_float(raw) -> float:
+    """float(raw), refusing NaN and +-inf: NaN compares unequal to itself
+    and inf - inf is NaN, so either would make a graph look
+    distinguishable from an isometric copy of itself."""
+    try:
+        value = float(raw)
+    except OverflowError as exc:
+        raise NumericError(f"float component {raw!r} is out of range") from exc
+    if not math.isfinite(value):
+        raise NumericError(f"float component {value!r} is not finite")
+    return value
 
 
 def format_component(value: Number, mode: str):
@@ -134,7 +144,3 @@ def format_component(value: Number, mode: str):
 
 def as_float(value: Number) -> float:
     return float(value)
-
-
-def sqrt_for_display(value: Number) -> float:
-    return math.sqrt(float(value))

@@ -147,11 +147,13 @@ def _match_children(rest_a: List[Child], rest_b: List[Child], matcher, ctx, k) -
 
 def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool) -> bool:
     """Decide whether some Q in O(dim) (SO(dim) when proper) maps b's vectors
-    onto a's under a matching of unordered children."""
-    if skeleton(a) != skeleton(b):
-        return False
-    if ctx.mode == "exact" and norm_profile(a, ctx) != norm_profile(b, ctx):
-        return False
+    onto a's under a matching of unordered children.
+
+    No skeleton or norm-profile prefilter runs here: the registry buckets
+    by both before it calls this, and the search itself rejects any
+    difference in structure (colours, shapes, child skeletons) or in a
+    vector's norm, so a direct call gets the same answer.
+    """
     # the continuation-style search nests one frame per matched tree node;
     # deep refinement objects overrun the default interpreter limit
     if sys.getrecursionlimit() < 200000:

@@ -9,7 +9,6 @@ ground truth the refinement engines are validated against.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import linalg
@@ -19,25 +18,13 @@ from .graph import (
     IsometryWitness,
     ModeMismatchError,
 )
-from .numeric import Vec
+from .properties import centroid
 
 DEFAULT_CAP = 10
 
 
 class OracleCapExceeded(ValueError):
     """Input larger than the exhaustive-search cap."""
-
-
-def _centroid(g: GeometricGraph) -> Vec:
-    n = g.n
-    if g.ctx.mode == "exact":
-        inv = Fraction(1, n)
-    else:
-        inv = 1.0 / n
-    acc = list(g.positions[0])
-    for x in g.positions[1:]:
-        acc = [a + c for a, c in zip(acc, x)]
-    return tuple(a * inv for a in acc)
 
 
 def _one_round_wl(g1: GeometricGraph, g2: GeometricGraph):
@@ -103,7 +90,7 @@ def geometric_isomorphism_oracle(
         return False, None
     order = sorted(range(n), key=lambda i: len(cands[i]))
 
-    cen1, cen2 = _centroid(g1), _centroid(g2)
+    cen1, cen2 = centroid(g1), centroid(g2)
     pos1 = [linalg.vsub(x, cen1) for x in g1.positions]
     pos2 = [linalg.vsub(x, cen2) for x in g2.positions]
 

@@ -167,3 +167,41 @@ def test_orbit_equal_reflexive_symmetric_transitive():
             for c in objs:
                 if orbit_equal(a, b, O2, CTX) and orbit_equal(b, c, O2, CTX):
                     assert orbit_equal(a, c, O2, CTX)
+
+
+@pytest.mark.parametrize("grp", [O2, SO2])
+def test_orbit_equal_rejects_structure_without_prefilters(grp):
+    # orbit_equal runs no skeleton or norm-profile prefilter of its own;
+    # the search must still reject every structural difference
+    kids = (Child(1, Leaf(1, ()), f(1, 0)), Child(2, Leaf(2, ()), f(0, 1)))
+    base = Node(0, Leaf(0, (f(1, 1),)), kids)
+    assert orbit_equal(base, base, grp, CTX)
+    other_centres = [
+        Leaf(0, (f(1, 1), f(1, 1))),  # one more centre vector
+        Leaf(0, ()),  # one fewer
+        Leaf(3, (f(1, 1),)),  # another centre colour
+        Node(0, Leaf(0, (f(1, 1),)), ()),  # a Node where a Leaf was
+    ]
+    for centre in other_centres:
+        assert not orbit_equal(base, Node(0, centre, kids), grp, CTX)
+        assert not orbit_equal(Node(0, centre, kids), base, grp, CTX)
+    other_children = [
+        (Child(1, Leaf(1, (f(0, 1),)), f(1, 0)), kids[1]),  # child skeleton
+        (Child(1, Leaf(1, ()), f(1, 0)), Child(1, Leaf(1, ()), f(0, 1))),  # colours
+        (Child(1, Node(1, Leaf(1, ()), ()), f(1, 0)), kids[1]),  # child shape
+        kids[:1],  # one child fewer
+    ]
+    for children in other_children:
+        assert not orbit_equal(base, Node(0, base.obj, children), grp, CTX)
+        assert not orbit_equal(Node(0, base.obj, children), base, grp, CTX)
+
+
+@pytest.mark.parametrize("grp", [O3, SO3])
+def test_orbit_equal_rejects_one_child_rel_norm_without_prefilters(grp):
+    a = depth1([f(1, 0, 0), f(0, 1, 0), f(0, 0, 1)])
+    b = depth1([f(1, 0, 0), f(0, 1, 0), f(0, 0, 2)])
+    assert not orbit_equal(a, b, grp, CTX)
+    assert not orbit_equal(b, a, grp, CTX)
+    # the same norms in another order are still one orbit
+    c = depth1([f(0, 0, 1), f(1, 0, 0), f(0, 1, 0)])
+    assert orbit_equal(a, c, grp, CTX)

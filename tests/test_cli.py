@@ -85,6 +85,42 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "line" in err
 
 
+def _float_pair_file(tmp_path, bad):
+    data = {
+        "dim": 2,
+        "numeric": "float",
+        "nodes": [{"s": [0], "x": [0.0, 0.0]}, {"s": [0], "x": [1.0, bad]}],
+        "edges": [[0, 1]],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # writes NaN / Infinity literals
+    return str(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_float_is_input_error(tmp_path, capsys, bad):
+    # compared with itself, a NaN coordinate used to give "distinguished"
+    path = _float_pair_file(tmp_path, bad)
+    for argv in (["distinguish", path, path, "--test", "gwl"], ["iso", path, path]):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "not finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "numeric,cutoff", [("exact", "x"), ("exact", "1/0"), ("float", "x"), ("float", float("nan"))]
+)
+def test_bad_cutoff_is_input_error(tmp_path, capsys, numeric, cutoff):
+    x = ["0", "0"] if numeric == "exact" else [0.0, 0.0]
+    data = {"dim": 2, "numeric": numeric, "nodes": [{"s": [0], "x": x}], "cutoff": cutoff}
+    path = tmp_path / "cutoff.json"
+    path.write_text(json.dumps(data))
+    assert main(["distinguish", str(path), str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad cutoff" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 

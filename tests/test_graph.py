@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from geowl.graph import (
     load_graph,
     neighborhood_subgraph,
 )
+from geowl.numeric import NumericError
 
 
 def test_validation_rejects_malformed_graphs():
@@ -173,3 +176,33 @@ def test_diameter_and_components():
     split = exact_graph([(0, 0), (1, 0), (5, 0), (6, 0)], edges=[(0, 1), (2, 3)])
     assert split.diameter() is None
     assert split.component_diameter() == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_geometric_graph_rejects_non_finite_floats(bad):
+    with pytest.raises(NumericError, match="not finite"):
+        geometric_graph(2, [(0.0, 0.0), (bad, 1.0)], mode="float")
+    with pytest.raises(NumericError, match="not finite"):
+        geometric_graph(2, [(0.0, 0.0)], vectors=[[(1.0, bad)]], mode="float")
+    # mode inference sees a float and lands in the same check
+    with pytest.raises(NumericError, match="not finite"):
+        geometric_graph(2, [(0.0, 0.0), (bad, 1.0)])
+
+
+def test_json_non_finite_or_huge_float_component():
+    for bad in (math.nan, math.inf, 10**400):
+        data = {"dim": 1, "numeric": "float", "nodes": [{"s": [], "x": [bad]}], "edges": []}
+        with pytest.raises(GraphFormatError, match="node 0"):
+            graph_from_dict(data)
+
+
+def test_readme_graph_file_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("Graph files are JSON") :]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    g = graph_from_dict(json.loads(example))
+    assert g.dim == 2 and g.ctx.mode == "exact"
+    assert g.positions == ((0, 0), (Fraction(3, 2), 2))
+    assert g.scalars == ((0,), (1,))
+    assert g.vectors == (((Fraction(1, 2), 0),), ())
+    assert g.edges == frozenset({(0, 1)})

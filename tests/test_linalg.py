@@ -117,3 +117,97 @@ def test_mark_rewind():
     assert m.push((0.0, 2.0), (2.0, 0.0))
     m.rewind(mark)
     assert m.mark() == 1
+
+
+def _brute_force_accepts(pairs, a, b):
+    """The all-pairs rule: the candidate's norm and its dot product with
+    every accepted pair must agree on both sides."""
+    return all(linalg.dot(a, u) == linalg.dot(b, w) for u, w in pairs + [(a, b)])
+
+
+def _orthogonal(rng, dim):
+    if dim == 1:
+        return ((rng.choice((Fraction(1), Fraction(-1))),),)
+    from geowl.generators import random_isometry
+
+    return random_isometry(1, dim, seed=rng.randint(0, 10**6), proper=False).matrix
+
+
+def _vector_pool(rng, dim):
+    """Small-integer vectors with repeats and zero vectors; on half the draws
+    every vector lies on one line, so runs stay rank-deficient."""
+    line = tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
+    pool = [tuple(Fraction(0) for _ in range(dim))]
+    for _ in range(5):
+        if rng.random() < 0.5:
+            pool.append(linalg.vscale(line, Fraction(rng.randint(-2, 2))))
+        else:
+            pool.append(tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim)))
+    return pool
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gram_matcher_push_agrees_with_all_pairs_check(dim):
+    ctx = exact_context()
+    rng = random.Random(("matcher", dim).__repr__())
+    accepted = rejected = 0
+    for _ in range(60):
+        q = _orthogonal(rng, dim)
+        pool = _vector_pool(rng, dim)
+        m = linalg.GramMatcher(ctx, dim, proper=False)
+        pairs = []
+        for _ in range(14):
+            a = rng.choice(pool)
+            roll = rng.random()
+            if roll < 0.6:
+                b = linalg.matvec(q, a)  # consistent with the run so far
+            elif roll < 0.8:
+                b = linalg.matvec(q, rng.choice(pool))
+            else:
+                b = linalg.vneg(a)  # same norm, often a wrong map
+            want = _brute_force_accepts(pairs, a, b)
+            assert m.push(a, b) is want
+            if want:
+                pairs.append((a, b))
+                accepted += 1
+            else:
+                rejected += 1
+            if pairs and rng.random() < 0.15:
+                mark = rng.randrange(len(pairs) + 1)
+                m.rewind(mark)
+                del pairs[mark:]
+            assert m.v1 == [u for u, _ in pairs] and m.v2 == [w for _, w in pairs]
+    assert accepted > 100 and rejected > 50
+
+
+def test_gram_matcher_rank_indices_after_rewinds():
+    # rewinds at marks above, at and below each basis position
+    ctx = exact_context()
+    x, y, z = (Fraction(1), 0, 0), (0, Fraction(1), 0), (0, 0, Fraction(1))
+    seq = [(0, 0, 0), x, linalg.vscale(x, 2), y, linalg.vadd(x, y), z, linalg.vadd(x, z)]
+    for mark in range(len(seq) + 1):
+        m = linalg.GramMatcher(ctx, 3, proper=True)
+        assert all(m.push(v, v) for v in seq)
+        assert m.rank_indices() == [1, 3, 5]
+        m.rewind(mark)
+        want = linalg.independent_subset(seq[:mark], ctx, 3)
+        assert m.rank_indices() == want
+        # pushing the tail again rebuilds the same basis
+        assert all(m.push(v, v) for v in seq[mark:])
+        assert m.rank_indices() == [1, 3, 5]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gram_matcher_rank_indices_match_independent_subset(dim):
+    ctx = exact_context()
+    rng = random.Random(("rank", dim).__repr__())
+    for _ in range(40):
+        q = _orthogonal(rng, dim)
+        pool = _vector_pool(rng, dim)
+        m = linalg.GramMatcher(ctx, dim, proper=True)
+        for _ in range(12):
+            a = rng.choice(pool)
+            m.push(a, linalg.matvec(q, a))
+            if rng.random() < 0.25:
+                m.rewind(rng.randrange(m.mark() + 1))
+            assert m.rank_indices() == linalg.independent_subset(m.v1, ctx, dim)
