@@ -8,19 +8,11 @@ rotation (optionally reflection), and translation — by colour refinement
 invariant variant (IGWL), and by k-body-restricted invariants — and
 validates every verdict against a brute-force congruence oracle.
 """
-from .canon import (
-    Child,
-    Leaf,
-    Node,
-    OrbitRegistry,
-    i_hash,
-    i_hash_k,
-    orbit_equal,
-)
 from .engines import (
     RefinementTrace,
     TraceRow,
     Verdict,
+    i_hash_k,
     run_gwl,
     run_igwl,
     run_igwl_k,
@@ -56,6 +48,7 @@ from .numeric import (
     exact_context,
     float_context,
 )
+from .objects import Child, Leaf, Node, orbit_equal
 from .oracle import OracleCapExceeded, geometric_isomorphism_oracle
 from .properties import (
     PropertyReport,
@@ -65,6 +58,7 @@ from .properties import (
     dihedral_cos,
     property_report,
 )
+from .registry import OrbitRegistry
 from .so2 import (
     So2Hash,
     StabilizerInfo,

@@ -63,15 +63,11 @@ def _load(path: str, eps: float) -> GeometricGraph:
         raise CliInputError(str(exc))
 
 
-def _group(variant: str, dim: int) -> GroupSpec:
-    return GroupSpec(variant, dim)
-
-
 def cmd_distinguish(args) -> int:
     eps = args.tolerance
     g1 = _load(args.graph_a, eps)
     g2 = _load(args.graph_b, eps)
-    grp = None if args.test == "wl" else _group(args.group, g1.dim)
+    grp = None if args.test == "wl" else GroupSpec(args.group, g1.dim)
     try:
         if args.test == "wl":
             verdict, trace = engines.run_wl(g1, g2, args.max_iters)
@@ -217,7 +213,7 @@ def cmd_props(args) -> int:
 def cmd_iso(args) -> int:
     g1 = _load(args.graph_a, args.tolerance)
     g2 = _load(args.graph_b, args.tolerance)
-    grp = _group(args.group, g1.dim)
+    grp = GroupSpec(args.group, g1.dim)
     same, witness = geometric_isomorphism_oracle(g1, g2, grp, cap=args.cap)
     print("isomorphic" if same else "non-isomorphic")
     if witness is not None:

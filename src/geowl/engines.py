@@ -5,15 +5,24 @@ registry, so colour ids are directly comparable between the two graphs.
 The verdict compares per-graph colour histograms at every iteration
 (including t=0); refinement stops at the first differing histogram, when
 the induced partition repeats, or at the iteration cap.
+
+GWL and IGWL colour objects by `OrbitRegistry.intern_orbit`, which is
+injective on O(d)/SO(d) orbits. `i_hash_k` is the lossy k-body variant
+behind `run_igwl_k`: it colours by the multiset of per-tuple invariants
+over ordered (k-1)-tuples of neighbours drawn with repetition, so order k
+only sees configurations of at most k nodes at a time.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .canon import Child, Leaf, Node, OrbitRegistry, i_hash, i_hash_k
+from . import linalg
 from .graph import GeometricGraph, GroupSpec, ModeMismatchError
+from .numeric import Vec
+from .objects import Child, Leaf, Node
+from .registry import OrbitRegistry
 
 HISTOGRAMS_DIFFER = "histograms_differ"
 PARTITION_STABLE = "partition_stable"
@@ -180,19 +189,14 @@ def run_wl(
     _check_pair(g1, g2, None)
     if max_iters is None:
         max_iters = _default_cap(g1, g2, geometric=False)
-    keys: dict = {}
-
-    def col(key) -> int:
-        if key not in keys:
-            keys[key] = len(keys)
-        return keys[key]
+    reg = OrbitRegistry(g1.ctx, g1.dim, proper=False)
 
     def init(g: GeometricGraph, which: int) -> List[int]:
-        return [col(("s", g.scalars[i])) for i in range(g.n)]
+        return [reg.intern_key(("s", g.scalars[i])) for i in range(g.n)]
 
     def step(g: GeometricGraph, c: List[int], which: int) -> List[int]:
         return [
-            col((c[i], tuple(sorted(c[j] for j in g.neighbors(i)))))
+            reg.intern_key((c[i], tuple(sorted(c[j] for j in g.neighbors(i)))))
             for i in range(g.n)
         ]
 
@@ -229,7 +233,7 @@ def run_gwl(
             for i in range(g.n)
         ]
         objs[which] = nodes
-        return [i_hash(node, reg) for node in nodes]
+        return [reg.intern_orbit(node) for node in nodes]
 
     return _refine(g1, g2, max_iters, init, step, stable_exit=False)
 
@@ -264,10 +268,69 @@ def run_igwl(
                     for j in g.neighbors(i)
                 ),
             )
-            out.append(i_hash(node, reg))
+            out.append(reg.intern_orbit(node))
         return out
 
     return _refine(g1, g2, max_iters, init, step)
+
+
+def _tuple_descriptor(
+    centre_vecs: Tuple[Vec, ...],
+    picks: Sequence[Tuple[int, Tuple[Vec, ...], Vec]],
+    reg: OrbitRegistry,
+) -> tuple:
+    colours = tuple(p[0] for p in picks)
+    stack: List[Vec] = list(centre_vecs)
+    shape = [len(centre_vecs)]
+    for _, vecs, rel in picks:
+        stack.extend(vecs)
+        stack.append(rel)
+        shape.append(len(vecs) + 1)
+    gram = tuple(
+        tuple(linalg.dot(stack[a], stack[b]) for b in range(a, len(stack)))
+        for a in range(len(stack))
+    )
+    sign = 0
+    if reg.proper:
+        idx = linalg.independent_subset(stack, reg.ctx, reg.dim)
+        if len(idx) == reg.dim:
+            sign = linalg.det_sign([stack[i] for i in idx], reg.ctx)
+    return (colours, tuple(shape), gram, sign)
+
+
+def i_hash_k(
+    centre: Tuple[int, Tuple[Vec, ...]],
+    nbrs: Sequence[Tuple[int, Tuple[Vec, ...], Vec]],
+    k: int,
+    reg: OrbitRegistry,
+) -> int:
+    """Colour from the multiset of (k-1)-tuple invariants around a centre.
+
+    centre is (colour, vectors); each neighbour is (colour, vectors,
+    relative position). Tuples are ordered and drawn with repetition, so
+    the Gram matrix of the stacked vectors [centre's, then per neighbour
+    its vectors and the relative position] needs no within-tuple
+    canonicalisation. Under a rotation-only group the stack's orientation
+    sign joins the descriptor when the stack spans the space.
+    """
+    if k < 2:
+        raise ValueError("body order k must be at least 2")
+    c_centre, centre_vecs = centre
+    if not nbrs:
+        return reg.intern_key(("kbody-isolated", k, c_centre))
+
+    def tuples(depth: int):
+        if depth == 0:
+            yield ()
+            return
+        for rest in tuples(depth - 1):
+            for nb in nbrs:
+                yield rest + (nb,)
+
+    descriptors = sorted(
+        _tuple_descriptor(centre_vecs, picks, reg) for picks in tuples(k - 1)
+    )
+    return reg.intern_bag(("kbody", k, c_centre, tuple(descriptors)))
 
 
 def run_igwl_k(

@@ -391,11 +391,14 @@ def graph_to_dict(g: GeometricGraph) -> dict:
 
 def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         mode = data["numeric"]
         raw_nodes = data["nodes"]
     except (KeyError, TypeError) as exc:
         raise GraphFormatError(f"missing required graph field: {exc}") from exc
+    # type() rather than isinstance: JSON true/false must not pass as 1/0
+    if type(dim) is not int or dim not in (1, 2, 3):
+        raise GraphFormatError(f"dim must be 1, 2 or 3, got {dim!r}")
     if mode not in (EXACT, FLOAT):
         raise GraphFormatError(f"unknown numeric mode {mode!r}")
     points = []
@@ -408,6 +411,10 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
             )
         except (KeyError, TypeError, NumericError) as exc:
             raise GraphFormatError(f"bad node {k}: {exc}") from exc
+        if any(len(vec) != dim for vec in (x,) + v):
+            raise GraphFormatError(f"bad node {k}: every vector must have {dim} components")
+        if not all(isinstance(t, (str, int, float)) for t in s):
+            raise GraphFormatError(f"bad node {k}: scalars must be strings or numbers")
         points.append((s, v, x))
     if "cutoff" in data:
         if "edges" in data:
@@ -417,7 +424,11 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
         except NumericError as exc:
             raise GraphFormatError(f"bad cutoff: {exc}") from exc
         return build_radial_graph(points, r, mode=mode, eps=eps)
-    edges = [tuple(e) for e in data.get("edges", ())]
+    edges = data.get("edges", [])
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(i) is int for i in e) for e in edges
+    ):
+        raise GraphFormatError("edges must be a list of [i, j] node index pairs")
     return geometric_graph(
         dim,
         [p[2] for p in points],

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .linalg import GramMatcher, norm_sq
 from .numeric import NumericContext, Vec
@@ -66,7 +66,7 @@ def _collect_vectors(obj, out: List[Vec]) -> None:
         out.extend(obj.vectors)
         return
     _collect_vectors(obj.obj, out)
-    for c in sorted(obj.children, key=lambda c: (c.colour, skeleton(c.obj))):
+    for c in obj.children:
         out.append(c.rel)
         _collect_vectors(c.obj, out)
 
@@ -94,7 +94,7 @@ def _push_pairs(
     return True
 
 
-def _match_objects(a, b, matcher: GramMatcher, ctx: NumericContext, k: Callable[[], bool]) -> bool:
+def _match_objects(a, b, matcher: GramMatcher, k: Callable[[], bool]) -> bool:
     """Try to align a with b under the matcher's partial map; call k on success.
 
     Continuation style so that constraints added deep in the tree (and the
@@ -115,31 +115,29 @@ def _match_objects(a, b, matcher: GramMatcher, ctx: NumericContext, k: Callable[
         return False
 
     def after_centre() -> bool:
-        return _match_children(list(a.children), list(b.children), matcher, ctx, k)
+        return _match_children(list(a.children), list(b.children), matcher, k)
 
-    return _match_objects(a.obj, b.obj, matcher, ctx, after_centre)
+    return _match_objects(a.obj, b.obj, matcher, after_centre)
 
 
-def _match_children(rest_a: List[Child], rest_b: List[Child], matcher, ctx, k) -> bool:
+def _match_children(rest_a: List[Child], rest_b: List[Child], matcher, k) -> bool:
+    # only the colour is compared up front: the push rejects a differing
+    # rel norm through the dot cache, and _match_objects a differing shape
     if not rest_a:
         return k()
     ca = rest_a[0]
     tail = rest_a[1:]
-    key = skeleton(ca.obj)
-    na = norm_sq(ca.rel)
     for idx, cb in enumerate(rest_b):
-        if cb.colour != ca.colour or skeleton(cb.obj) != key:
-            continue
-        if not ctx.eq(na, norm_sq(cb.rel)):
+        if cb.colour != ca.colour:
             continue
         mark = matcher.mark()
         if matcher.push(ca.rel, cb.rel):
             remaining = rest_b[:idx] + rest_b[idx + 1 :]
 
             def after_subtree(tail=tail, remaining=remaining) -> bool:
-                return _match_children(tail, remaining, matcher, ctx, k)
+                return _match_children(tail, remaining, matcher, k)
 
-            if _match_objects(ca.obj, cb.obj, matcher, ctx, after_subtree):
+            if _match_objects(ca.obj, cb.obj, matcher, after_subtree):
                 return True
         matcher.rewind(mark)
     return False
@@ -159,4 +157,4 @@ def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool) -> bool:
     if sys.getrecursionlimit() < 200000:
         sys.setrecursionlimit(200000)
     matcher = GramMatcher(ctx, dim, proper)
-    return _match_objects(a, b, matcher, ctx, matcher.orientation_ok)
+    return _match_objects(a, b, matcher, matcher.orientation_ok)

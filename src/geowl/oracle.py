@@ -19,6 +19,7 @@ from .graph import (
     ModeMismatchError,
 )
 from .properties import centroid
+from .registry import OrbitRegistry
 
 DEFAULT_CAP = 10
 
@@ -29,13 +30,7 @@ class OracleCapExceeded(ValueError):
 
 def _one_round_wl(g1: GeometricGraph, g2: GeometricGraph):
     """Joint scalar+degree colouring refined once; shared colour ids."""
-    key2col: dict = {}
-
-    def col(key):
-        if key not in key2col:
-            key2col[key] = len(key2col)
-        return key2col[key]
-
+    col = OrbitRegistry(g1.ctx, g1.dim, proper=False).intern_key
     outs = []
     for g in (g1, g2):
         c0 = [col((g.scalars[i], g.degree(i))) for i in range(g.n)]

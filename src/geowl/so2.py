@@ -176,13 +176,9 @@ def run_so2_gwl(
         max_iters = max(1, g1.n + g2.n)
     eps = g1.ctx.eps if g1.ctx.mode == "float" else DEFAULT_EPS
     reg = so2_registry(eps)
-    cols: dict = {}
-
-    def col(key) -> int:
-        if key not in cols:
-            cols[key] = len(cols)
-        return cols[key]
-
+    # key colours get their own registry: sharing the orbit registry's
+    # counter would renumber the orbit codes, which set the message norms
+    col = so2_registry(eps).intern_key
     msgs: List[Optional[List[Tuple[float, float]]]] = [None, None]
 
     def init(g: GeometricGraph, which: int) -> List[int]:

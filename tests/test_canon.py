@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from geowl import GroupSpec, random_isometry
-from geowl.canon import Child, Leaf, Node, OrbitRegistry, i_hash, i_hash_k, orbit_equal
+from geowl import Child, GroupSpec, Leaf, Node, OrbitRegistry, orbit_equal, random_isometry
+from geowl.engines import i_hash_k
 from geowl.linalg import matvec
-from geowl.numeric import exact_context
+from geowl.numeric import exact_context, float_context
 
 CTX = exact_context()
 O2 = GroupSpec("O", 2)
@@ -50,20 +50,20 @@ def test_globally_rotated_object_is_orbit_equal():
                 Child(2, Leaf(2, ()), f(1, 1, 0)),
             ),
         )
-        assert orbit_equal(obj, rotate_obj(obj, q), SO3, CTX)
-        assert orbit_equal(obj, rotate_obj(obj, q), O3, CTX)
+        assert orbit_equal(obj, rotate_obj(obj, q), CTX, SO3.dim, SO3.proper)
+        assert orbit_equal(obj, rotate_obj(obj, q), CTX, O3.dim, O3.proper)
 
 
 def test_leaf_norm_mismatch():
-    assert not orbit_equal(Leaf(0, (f(1, 0),)), Leaf(0, (f(0, 2),)), O2, CTX)
-    assert orbit_equal(Leaf(0, (f(1, 0),)), Leaf(0, (f(0, 1),)), O2, CTX)
+    assert not orbit_equal(Leaf(0, (f(1, 0),)), Leaf(0, (f(0, 2),)), CTX, O2.dim, O2.proper)
+    assert orbit_equal(Leaf(0, (f(1, 0),)), Leaf(0, (f(0, 1),)), CTX, O2.dim, O2.proper)
 
 
 def test_same_distances_different_angles():
     # children at 90 vs 180 degrees: distance multisets agree, dot products differ
     a = depth1([f(1, 0), f(0, 1)])
     b = depth1([f(1, 0), f(-1, 0)])
-    assert not orbit_equal(a, b, O2, CTX)
+    assert not orbit_equal(a, b, CTX, O2.dim, O2.proper)
 
 
 def test_colour_structure_must_match():
@@ -71,35 +71,35 @@ def test_colour_structure_must_match():
     b = depth1([f(0, 1), f(1, 0)], colours=[1, 2])  # rel vecs swapped per colour
     # matching is colour-constrained: swapping the vectors between colours
     # is the axis swap x<->y, a reflection, so O accepts and SO rejects
-    assert orbit_equal(a, b, O2, CTX)
-    assert not orbit_equal(a, b, SO2, CTX)
+    assert orbit_equal(a, b, CTX, O2.dim, O2.proper)
+    assert not orbit_equal(a, b, CTX, SO2.dim, SO2.proper)
     c = depth1([f(1, 0), f(0, 1)], colours=[1, 1])
-    assert not orbit_equal(a, c, O2, CTX)
+    assert not orbit_equal(a, c, CTX, O2.dim, O2.proper)
 
 
 def test_reflection_needs_o_not_so():
     # three children whose rel vecs span the plane with a fixed handedness
     a = depth1([f(2, 0), f(0, 1)], colours=[1, 2])
     b = depth1([f(2, 0), f(0, -1)], colours=[1, 2])
-    assert orbit_equal(a, b, O2, CTX)
-    assert not orbit_equal(a, b, SO2, CTX)
+    assert orbit_equal(a, b, CTX, O2.dim, O2.proper)
+    assert not orbit_equal(a, b, CTX, SO2.dim, SO2.proper)
 
 
 def test_rank_deficient_so_collapses_to_o():
     # the same mirrored pair embedded in 3D spans only a plane
     a3 = depth1([f(2, 0, 0), f(0, 1, 0)], colours=[1, 2])
     b3 = depth1([f(2, 0, 0), f(0, -1, 0)], colours=[1, 2])
-    assert orbit_equal(a3, b3, O3, CTX)
-    assert orbit_equal(a3, b3, SO3, CTX)
+    assert orbit_equal(a3, b3, CTX, O3.dim, O3.proper)
+    assert orbit_equal(a3, b3, CTX, SO3.dim, SO3.proper)
 
 
 def test_i_hash_issues_colours_in_first_encounter_order():
     reg = OrbitRegistry(CTX, 2, proper=False)
     a = depth1([f(1, 0)])
     b = depth1([f(2, 0)])
-    ca = i_hash(a, reg)
-    cb = i_hash(b, reg)
-    ca2 = i_hash(depth1([f(0, 1)]), reg)  # rotated a: same orbit
+    ca = reg.intern_orbit(a)
+    cb = reg.intern_orbit(b)
+    ca2 = reg.intern_orbit(depth1([f(0, 1)]))  # rotated a: same orbit
     assert ca != cb
     assert ca2 == ca
 
@@ -112,7 +112,7 @@ def test_i_hash_invariant_under_random_isometry():
         obj = depth1(
             [f(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3)]
         )
-        assert i_hash(obj, reg) == i_hash(rotate_obj(obj, q), reg)
+        assert reg.intern_orbit(obj) == reg.intern_orbit(rotate_obj(obj, q))
 
 
 def test_i_hash_k2_sees_only_pairwise_distances():
@@ -142,7 +142,9 @@ def test_i_hash_k_full_body_order_matches_orbit_equal():
         same_colour = i_hash_k((0, ()), [(1, (), r) for r in rels_a], m + 1, reg) == i_hash_k(
             (0, ()), [(1, (), r) for r in rels_b], m + 1, reg
         )
-        same_orbit = orbit_equal(depth1(rels_a, [1] * m), depth1(rels_b, [1] * m), grp, CTX)
+        same_orbit = orbit_equal(
+            depth1(rels_a, [1] * m), depth1(rels_b, [1] * m), CTX, grp.dim, grp.proper
+        )
         assert same_colour == same_orbit, (trial, rels_a, rels_b)
 
 
@@ -159,49 +161,63 @@ def test_orbit_equal_reflexive_symmetric_transitive():
         for _ in range(6)
     ]
     for a in objs:
-        assert orbit_equal(a, a, O2, CTX)
+        assert orbit_equal(a, a, CTX, 2, False)
         for b in objs:
-            assert orbit_equal(a, b, O2, CTX) == orbit_equal(b, a, O2, CTX)
+            assert orbit_equal(a, b, CTX, 2, False) == orbit_equal(b, a, CTX, 2, False)
     for a in objs:
         for b in objs:
             for c in objs:
-                if orbit_equal(a, b, O2, CTX) and orbit_equal(b, c, O2, CTX):
-                    assert orbit_equal(a, c, O2, CTX)
+                if orbit_equal(a, b, CTX, 2, False) and orbit_equal(b, c, CTX, 2, False):
+                    assert orbit_equal(a, c, CTX, 2, False)
 
 
-@pytest.mark.parametrize("grp", [O2, SO2])
-def test_orbit_equal_rejects_structure_without_prefilters(grp):
+def exact_and_float(*grps):
+    """(grp, ctx) cases under both numeric modes; the exact cases keep the
+    ids a plain parametrisation over grps gives."""
+    return [pytest.param(g, CTX, id=f"grp{i}") for i, g in enumerate(grps)] + [
+        pytest.param(g, float_context(), id=f"grp{i}-float") for i, g in enumerate(grps)
+    ]
+
+
+def vec_maker(ctx):
+    return f if ctx.mode == "exact" else lambda *cs: tuple(float(c) for c in cs)
+
+
+@pytest.mark.parametrize("grp, ctx", exact_and_float(O2, SO2))
+def test_orbit_equal_rejects_structure_without_prefilters(grp, ctx):
     # orbit_equal runs no skeleton or norm-profile prefilter of its own;
     # the search must still reject every structural difference
-    kids = (Child(1, Leaf(1, ()), f(1, 0)), Child(2, Leaf(2, ()), f(0, 1)))
-    base = Node(0, Leaf(0, (f(1, 1),)), kids)
-    assert orbit_equal(base, base, grp, CTX)
+    v = vec_maker(ctx)
+    kids = (Child(1, Leaf(1, ()), v(1, 0)), Child(2, Leaf(2, ()), v(0, 1)))
+    base = Node(0, Leaf(0, (v(1, 1),)), kids)
+    assert orbit_equal(base, base, ctx, grp.dim, grp.proper)
     other_centres = [
-        Leaf(0, (f(1, 1), f(1, 1))),  # one more centre vector
+        Leaf(0, (v(1, 1), v(1, 1))),  # one more centre vector
         Leaf(0, ()),  # one fewer
-        Leaf(3, (f(1, 1),)),  # another centre colour
-        Node(0, Leaf(0, (f(1, 1),)), ()),  # a Node where a Leaf was
+        Leaf(3, (v(1, 1),)),  # another centre colour
+        Node(0, Leaf(0, (v(1, 1),)), ()),  # a Node where a Leaf was
     ]
     for centre in other_centres:
-        assert not orbit_equal(base, Node(0, centre, kids), grp, CTX)
-        assert not orbit_equal(Node(0, centre, kids), base, grp, CTX)
+        assert not orbit_equal(base, Node(0, centre, kids), ctx, grp.dim, grp.proper)
+        assert not orbit_equal(Node(0, centre, kids), base, ctx, grp.dim, grp.proper)
     other_children = [
-        (Child(1, Leaf(1, (f(0, 1),)), f(1, 0)), kids[1]),  # child skeleton
-        (Child(1, Leaf(1, ()), f(1, 0)), Child(1, Leaf(1, ()), f(0, 1))),  # colours
-        (Child(1, Node(1, Leaf(1, ()), ()), f(1, 0)), kids[1]),  # child shape
+        (Child(1, Leaf(1, (v(0, 1),)), v(1, 0)), kids[1]),  # child skeleton
+        (Child(1, Leaf(1, ()), v(1, 0)), Child(1, Leaf(1, ()), v(0, 1))),  # colours
+        (Child(1, Node(1, Leaf(1, ()), ()), v(1, 0)), kids[1]),  # child shape
         kids[:1],  # one child fewer
     ]
     for children in other_children:
-        assert not orbit_equal(base, Node(0, base.obj, children), grp, CTX)
-        assert not orbit_equal(Node(0, base.obj, children), base, grp, CTX)
+        assert not orbit_equal(base, Node(0, base.obj, children), ctx, grp.dim, grp.proper)
+        assert not orbit_equal(Node(0, base.obj, children), base, ctx, grp.dim, grp.proper)
 
 
-@pytest.mark.parametrize("grp", [O3, SO3])
-def test_orbit_equal_rejects_one_child_rel_norm_without_prefilters(grp):
-    a = depth1([f(1, 0, 0), f(0, 1, 0), f(0, 0, 1)])
-    b = depth1([f(1, 0, 0), f(0, 1, 0), f(0, 0, 2)])
-    assert not orbit_equal(a, b, grp, CTX)
-    assert not orbit_equal(b, a, grp, CTX)
+@pytest.mark.parametrize("grp, ctx", exact_and_float(O3, SO3))
+def test_orbit_equal_rejects_one_child_rel_norm_without_prefilters(grp, ctx):
+    v = vec_maker(ctx)
+    a = depth1([v(1, 0, 0), v(0, 1, 0), v(0, 0, 1)])
+    b = depth1([v(1, 0, 0), v(0, 1, 0), v(0, 0, 2)])
+    assert not orbit_equal(a, b, ctx, grp.dim, grp.proper)
+    assert not orbit_equal(b, a, ctx, grp.dim, grp.proper)
     # the same norms in another order are still one orbit
-    c = depth1([f(0, 0, 1), f(1, 0, 0), f(0, 1, 0)])
-    assert orbit_equal(a, c, grp, CTX)
+    c = depth1([v(0, 0, 1), v(1, 0, 0), v(0, 1, 0)])
+    assert orbit_equal(a, c, ctx, grp.dim, grp.proper)

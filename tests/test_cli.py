@@ -121,6 +121,40 @@ def test_bad_cutoff_is_input_error(tmp_path, capsys, numeric, cutoff):
     assert err.count("\n") == 1 and "bad cutoff" in err
 
 
+def _two_nodes(**changes):
+    """A valid two-node exact graph with some fields changed (None drops one)."""
+    data = {
+        "dim": 2,
+        "numeric": "exact",
+        "nodes": [{"s": [0], "x": ["0", "0"]}, {"s": [0], "x": ["1", "0"]}],
+        "edges": [[0, 1]],
+    }
+    data.update(changes)
+    return {key: value for key, value in data.items() if value is not None}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _two_nodes(dim="x"),
+        _two_nodes(dim=4, nodes=[{"s": [0], "x": [0, 0, 0, 0]}, {"s": [0], "x": [1, 0, 0, 0]}]),
+        _two_nodes(edges=[[0, 1.0]]),
+        _two_nodes(edges=[[0, True]]),
+        _two_nodes(nodes=[{"s": [[0]], "x": ["0", "0"]}, {"s": [0], "x": ["1", "0"]}]),
+        _two_nodes(dim=3, edges=None, cutoff="2"),
+    ],
+    ids=["dim-not-int", "dim-4", "edge-float", "edge-bool", "scalar-list", "cutoff-dim"],
+)
+def test_malformed_graph_field_is_input_error(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for test in ("gwl", "wl"):
+        assert main(["distinguish", str(path), str(path), "--test", test]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
