@@ -404,11 +404,15 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
     points = []
     for k, node in enumerate(raw_nodes):
         try:
-            x = tuple(parse_component(c, mode) for c in node["x"])
-            s = tuple(node.get("s", ()))
-            v = tuple(
-                tuple(parse_component(c, mode) for c in vec) for vec in node.get("v", ())
-            )
+            x, s, v = node["x"], node.get("s", []), node.get("v", [])
+            # a string or object would iterate as characters or keys
+            if not all(isinstance(f, list) for f in (x, s, v)) or not all(
+                isinstance(vec, list) for vec in v
+            ):
+                raise TypeError("x, s, v and each vector in v must be JSON lists")
+            x = tuple(parse_component(c, mode) for c in x)
+            s = tuple(s)
+            v = tuple(tuple(parse_component(c, mode) for c in vec) for vec in v)
         except (KeyError, TypeError, NumericError) as exc:
             raise GraphFormatError(f"bad node {k}: {exc}") from exc
         if any(len(vec) != dim for vec in (x,) + v):

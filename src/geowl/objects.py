@@ -7,15 +7,15 @@ a neighbour's object with the relative position of that neighbour. Two
 such trees are "orbit equal" when some single orthogonal map Q (rotation
 only, for SO) sends every vector in one tree onto the corresponding vector
 of the other under some matching of the unordered children. That is decided
-exactly: children are matched by backtracking and the candidate Q is
-constrained incrementally through a Gram matcher rather than ever being
-computed.
+exactly by a depth-first search written as generators: each alignment of a
+sub-object is yielded in turn, children are assigned partners on an
+explicit stack, and the candidate Q is constrained incrementally through a
+Gram matcher rather than ever being computed.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Iterator, Tuple
 
 from .linalg import GramMatcher, norm_sq
 from .numeric import NumericContext, Vec
@@ -44,103 +44,107 @@ class Node:
 GeomObject = object  # Leaf | Node
 
 
+def _head(obj) -> tuple:
+    if isinstance(obj, Leaf):
+        return ("L", obj.colour, len(obj.vectors))
+    return ("N", obj.colour, len(obj.children))
+
+
 def skeleton(obj) -> tuple:
-    """Geometry-free structural key: colours and shape only.
+    """Geometry-free structural key, one level deep: colours and shape only.
 
     Objects in different skeleton classes can never be orbit equal, so the
     registry buckets by this key and the matcher only compares within a
-    bucket.
+    bucket. Sub-objects enter only through their colour and head: every
+    engine colours a nested Node by its orbit in the same registry, so that
+    colour already fixes the sub-object's deeper structure.
     """
     if isinstance(obj, Leaf):
-        return ("L", obj.colour, len(obj.vectors))
+        return _head(obj)
     return (
         "N",
         obj.colour,
-        skeleton(obj.obj),
-        tuple(sorted((c.colour, skeleton(c.obj)) for c in obj.children)),
+        _head(obj.obj),
+        tuple(sorted((c.colour, _head(c.obj)) for c in obj.children)),
     )
 
 
-def _collect_vectors(obj, out: List[Vec]) -> None:
-    if isinstance(obj, Leaf):
-        out.extend(obj.vectors)
-        return
-    _collect_vectors(obj.obj, out)
-    for c in obj.children:
-        out.append(c.rel)
-        _collect_vectors(c.obj, out)
-
-
 def norm_profile(obj, ctx: NumericContext) -> tuple:
-    """Sorted squared norms of every vector in the tree.
+    """Sorted squared norms of the child rels and of the vectors of every
+    Leaf one level down (a Leaf's own vectors, for a Leaf).
 
     Invariant under any orthogonal map and any matching of children, hence
-    a cheap prefilter before the full orbit search. Float norms are rounded
-    through the context tolerance is NOT applied here; callers in float
-    mode must treat unequal profiles as inconclusive and fall back to the
-    matcher. In exact mode the profile is a true invariant.
+    a cheap prefilter before the full orbit search. No tolerance is applied,
+    so only exact mode may use it. Deeper vectors are left out for the
+    reason `skeleton` gives: a Node sub-object's colour fixes them.
     """
-    vecs: List[Vec] = []
-    _collect_vectors(obj, vecs)
+    if isinstance(obj, Leaf):
+        return tuple(sorted(norm_sq(v) for v in obj.vectors))
+    vecs = [c.rel for c in obj.children]
+    for sub in (obj.obj, *(c.obj for c in obj.children)):
+        if isinstance(sub, Leaf):
+            vecs.extend(sub.vectors)
     return tuple(sorted(norm_sq(v) for v in vecs))
 
 
-def _push_pairs(
-    matcher: GramMatcher, pairs: Sequence[Tuple[Vec, Vec]]
-) -> bool:
-    for a, b in pairs:
-        if not matcher.push(a, b):
-            return False
-    return True
+def _align(a, b, matcher: GramMatcher) -> Iterator[None]:
+    """Yield once for each consistent alignment of a with b.
 
-
-def _match_objects(a, b, matcher: GramMatcher, k: Callable[[], bool]) -> bool:
-    """Try to align a with b under the matcher's partial map; call k on success.
-
-    Continuation style so that constraints added deep in the tree (and the
-    final orientation check) can force backtracking over earlier child
-    matchings.
+    While suspended at a yield, the matcher holds that alignment's pairs on
+    top of what it held on entry; once exhausted, the generator has rewound
+    the matcher to its starting mark. Frames nest once per tree level.
     """
-    if type(a) is not type(b):
-        return False
+    if type(a) is not type(b) or a.colour != b.colour:
+        return
     if isinstance(a, Leaf):
-        if a.colour != b.colour or len(a.vectors) != len(b.vectors):
-            return False
+        if len(a.vectors) != len(b.vectors):
+            return
         mark = matcher.mark()
-        if _push_pairs(matcher, list(zip(a.vectors, b.vectors))) and k():
-            return True
+        if all(matcher.push(u, w) for u, w in zip(a.vectors, b.vectors)):
+            yield
         matcher.rewind(mark)
-        return False
-    if a.colour != b.colour or len(a.children) != len(b.children):
-        return False
-
-    def after_centre() -> bool:
-        return _match_children(list(a.children), list(b.children), matcher, k)
-
-    return _match_objects(a.obj, b.obj, matcher, after_centre)
+        return
+    if len(a.children) != len(b.children):
+        return
+    for _ in _align(a.obj, b.obj, matcher):
+        yield from _align_children(a.children, b.children, matcher)
 
 
-def _match_children(rest_a: List[Child], rest_b: List[Child], matcher, k) -> bool:
-    # only the colour is compared up front: the push rejects a differing
-    # rel norm through the dot cache, and _match_objects a differing shape
-    if not rest_a:
-        return k()
-    ca = rest_a[0]
-    tail = rest_a[1:]
-    for idx, cb in enumerate(rest_b):
-        if cb.colour != ca.colour:
-            continue
-        mark = matcher.mark()
-        if matcher.push(ca.rel, cb.rel):
-            remaining = rest_b[:idx] + rest_b[idx + 1 :]
+_DONE = object()
 
-            def after_subtree(tail=tail, remaining=remaining) -> bool:
-                return _match_children(tail, remaining, matcher, k)
 
-            if _match_objects(ca.obj, cb.obj, matcher, after_subtree):
-                return True
-        matcher.rewind(mark)
-    return False
+def _align_children(
+    ac: Tuple[Child, ...], bc: Tuple[Child, ...], matcher: GramMatcher
+) -> Iterator[None]:
+    """Yield once for each assignment of ac to distinct partners in bc under
+    which every child aligns, depth-first on an explicit stack of per-child
+    partner generators."""
+    used = [False] * len(bc)
+
+    def partners(ca: Child) -> Iterator[None]:
+        # only the colour is compared up front: the push rejects a differing
+        # rel norm through the dot cache, and _align a differing shape
+        for idx, cb in enumerate(bc):
+            if used[idx] or cb.colour != ca.colour:
+                continue
+            mark = matcher.mark()
+            if matcher.push(ca.rel, cb.rel):
+                used[idx] = True
+                yield from _align(ca.obj, cb.obj, matcher)
+                used[idx] = False
+            matcher.rewind(mark)
+
+    if not ac:
+        yield
+        return
+    stack = [partners(ac[0])]
+    while stack:
+        if next(stack[-1], _DONE) is _DONE:
+            stack.pop()
+        elif len(stack) == len(ac):
+            yield
+        else:
+            stack.append(partners(ac[len(stack)]))
 
 
 def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool) -> bool:
@@ -152,9 +156,5 @@ def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool) -> bool:
     difference in structure (colours, shapes, child skeletons) or in a
     vector's norm, so a direct call gets the same answer.
     """
-    # the continuation-style search nests one frame per matched tree node;
-    # deep refinement objects overrun the default interpreter limit
-    if sys.getrecursionlimit() < 200000:
-        sys.setrecursionlimit(200000)
     matcher = GramMatcher(ctx, dim, proper)
-    return _match_objects(a, b, matcher, matcher.orientation_ok)
+    return any(matcher.orientation_ok() for _ in _align(a, b, matcher))

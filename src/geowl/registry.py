@@ -25,8 +25,8 @@ class OrbitRegistry:
         self._next = 0
         self._keys: Dict[Hashable, int] = {}
         self._rep_by_colour: Dict[int, object] = {}
-        # skeleton -> list of (norm_profile | None, representative, colour)
-        self._orbits: Dict[tuple, List[Tuple[tuple, object, int]]] = {}
+        # (skeleton, norm_profile | None) -> list of (representative, colour)
+        self._orbits: Dict[tuple, List[Tuple[object, int]]] = {}
         # exact mode: hashable multiset key -> colour; float: linear list
         self._bags_exact: Dict[tuple, int] = {}
         self._bags_float: List[Tuple[tuple, int]] = []
@@ -49,15 +49,13 @@ class OrbitRegistry:
 
     def intern_orbit(self, obj) -> int:
         """Colour for a geometric object, injective on O/SO orbits."""
-        bucket = self._orbits.setdefault(skeleton(obj), [])
         profile = norm_profile(obj, self.ctx) if self.ctx.mode == "exact" else None
-        for prof, rep, colour in bucket:
-            if profile is not None and prof != profile:
-                continue
+        bucket = self._orbits.setdefault((skeleton(obj), profile), [])
+        for rep, colour in bucket:
             if orbit_equal(rep, obj, self.ctx, self.dim, self.proper):
                 return colour
         colour = self._fresh()
-        bucket.append((profile, obj, colour))
+        bucket.append((obj, colour))
         self._rep_by_colour[colour] = obj
         return colour
 

@@ -35,3 +35,6 @@ def test_traced_gwl_records_orbit_search(tracing):
     metrics = tracer.metrics(fragile_warnings=0)
     assert metrics["objects.orbit_equal.calls"] > 0
     assert metrics["linalg.push.calls"] > 0
+    assert [name for name, value in metrics.items() if value is None] == []
+    assert metrics["registry.skeleton.s"] > 0
+    assert metrics["registry.norm_profile.s"] > 0

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -221,3 +222,22 @@ def test_orbit_equal_rejects_one_child_rel_norm_without_prefilters(grp, ctx):
     # the same norms in another order are still one orbit
     c = depth1([v(0, 0, 1), v(1, 0, 0), v(0, 1, 0)])
     assert orbit_equal(a, c, ctx, grp.dim, grp.proper)
+
+
+def test_deep_object_search_runs_under_the_default_recursion_limit():
+    # shared sub-objects make the tree unfolding 3^10 nodes; the search
+    # must nest frames per tree level, not per matched vector
+    def tower(r1, r2, depth=10):
+        obj = Leaf(0, ())
+        for t in range(depth):
+            obj = Node(t, obj, (Child(t, obj, r1), Child(t, obj, r2)))
+        return obj
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        a, b = tower(f(1, 0), f(0, 1)), tower(f(0, 1), f(-1, 0))  # b: a turned by 90 degrees
+        assert orbit_equal(a, b, CTX, 2, proper=True) is True
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)

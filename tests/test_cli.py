@@ -142,8 +142,15 @@ def _two_nodes(**changes):
         _two_nodes(edges=[[0, True]]),
         _two_nodes(nodes=[{"s": [[0]], "x": ["0", "0"]}, {"s": [0], "x": ["1", "0"]}]),
         _two_nodes(dim=3, edges=None, cutoff="2"),
+        _two_nodes(nodes=[{"s": "ab", "x": "00"}, {"s": "ab", "x": "10"}]),
+        _two_nodes(nodes=[{"s": [0], "x": ["0", "0"], "v": ["12"]}, {"s": [0], "x": ["1", "0"]}]),
+        _two_nodes(nodes=[{"s": [0], "x": {"0": 1, "1": 2}}, {"s": [0], "x": ["1", "0"]}]),
+        _two_nodes(nodes=[{"s": {"a": 1}, "x": ["0", "0"]}, {"s": [0], "x": ["1", "0"]}]),
     ],
-    ids=["dim-not-int", "dim-4", "edge-float", "edge-bool", "scalar-list", "cutoff-dim"],
+    ids=[
+        "dim-not-int", "dim-4", "edge-float", "edge-bool", "scalar-list", "cutoff-dim",
+        "string-fields", "string-vector", "object-position", "object-scalars",
+    ],
 )
 def test_malformed_graph_field_is_input_error(tmp_path, capsys, data):
     path = tmp_path / "bad.json"

@@ -25,6 +25,7 @@ from geowl import (
     run_wl,
 )
 from geowl.numeric import exact_context
+from geowl.objects import norm_profile, skeleton
 
 # derandomized so that a run of the unit tests is reproducible
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -55,8 +56,13 @@ def objects(draw, d, depth):
 def test_intern_orbit_invariant_under_random_isometry(data, d, depth, seed, proper):
     obj = data.draw(objects(d, depth))
     witness = random_isometry(1, d, seed, proper=proper)
-    reg = OrbitRegistry(exact_context(), d, proper)
-    assert reg.intern_orbit(obj) == reg.intern_orbit(rotate_obj(obj, witness.matrix))
+    image = rotate_obj(obj, witness.matrix)
+    ctx = exact_context()
+    # the registry's bucket key must be shared by every object of an orbit
+    assert skeleton(obj) == skeleton(image)
+    assert norm_profile(obj, ctx) == norm_profile(image, ctx)
+    reg = OrbitRegistry(ctx, d, proper)
+    assert reg.intern_orbit(obj) == reg.intern_orbit(image)
 
 
 @SETTINGS
