@@ -14,13 +14,7 @@ import sys
 from typing import Optional
 
 from . import engines, generators, properties, so2
-from .graph import (
-    GeometricGraph,
-    GraphError,
-    GroupSpec,
-    dump_graph,
-    load_graph,
-)
+from .graph import GeometricGraph, GroupSpec, dump_graph, load_graph
 from .numeric import DEFAULT_EPS
 from .oracle import OracleCapExceeded, geometric_isomorphism_oracle
 
@@ -57,10 +51,8 @@ def _tolerance_default() -> float:
 def _load(path: str, eps: float) -> GeometricGraph:
     try:
         return load_graph(path, eps=eps)
-    except FileNotFoundError:
-        raise CliInputError(f"no such file: {path}")
-    except GraphError as exc:
-        raise CliInputError(str(exc))
+    except OSError as exc:
+        raise CliInputError(f"cannot read {path}: {exc.strerror}")
 
 
 def cmd_distinguish(args) -> int:
@@ -68,19 +60,16 @@ def cmd_distinguish(args) -> int:
     g1 = _load(args.graph_a, eps)
     g2 = _load(args.graph_b, eps)
     grp = None if args.test == "wl" else GroupSpec(args.group, g1.dim)
-    try:
-        if args.test == "wl":
-            verdict, trace = engines.run_wl(g1, g2, args.max_iters)
-        elif args.test == "gwl":
-            verdict, trace = engines.run_gwl(g1, g2, grp, args.max_iters)
-        elif args.test == "igwl":
-            verdict, trace = engines.run_igwl(g1, g2, grp, args.max_iters)
-        elif args.test == "igwl-k":
-            verdict, trace = engines.run_igwl_k(g1, g2, grp, args.k, args.max_iters)
-        else:  # so2
-            verdict, trace = so2.run_so2_gwl(g1, g2, args.max_iters)
-    except (ValueError, GraphError) as exc:
-        raise CliInputError(str(exc))
+    if args.test == "wl":
+        verdict, trace = engines.run_wl(g1, g2, args.max_iters)
+    elif args.test == "gwl":
+        verdict, trace = engines.run_gwl(g1, g2, grp, args.max_iters)
+    elif args.test == "igwl":
+        verdict, trace = engines.run_igwl(g1, g2, grp, args.max_iters)
+    elif args.test == "igwl-k":
+        verdict, trace = engines.run_igwl_k(g1, g2, grp, args.k, args.max_iters)
+    else:  # so2
+        verdict, trace = so2.run_so2_gwl(g1, g2, args.max_iters)
     report = engines.report_dict(args.test, grp, verdict, trace)
     if args.format == "json":
         print(json.dumps(report, indent=1))
@@ -192,11 +181,9 @@ def cmd_props(args) -> int:
         if len(parts) != 4:
             raise CliInputError("--dihedral wants l,j,k,m")
         quads.append(tuple(int(p) for p in parts))
-    try:
-        report = properties.property_report(g, quads)
-    except (ValueError, properties.DegenerateGeometryError) as exc:
-        raise CliInputError(str(exc))
-    data = report.to_dict()
+        if not all(0 <= i < g.n for i in quads[-1]):
+            raise CliInputError(f"--dihedral {raw}: node indices must be 0..{g.n - 1}")
+    data = properties.property_report(g, quads).to_dict()
     if args.format == "json":
         print(json.dumps(data, indent=1))
     else:
@@ -337,7 +324,7 @@ def main(argv: Optional[list] = None) -> int:
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CliInputError as exc:
+    except (CliInputError, ValueError) as exc:  # GraphError and NumericError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

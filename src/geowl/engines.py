@@ -1,10 +1,13 @@
 """Joint colour refinement: WL, geometric WL, invariant GWL, and k-body IGWL.
 
-All four engines refine the disjoint union of a graph pair with one shared
-registry, so colour ids are directly comparable between the two graphs.
-The verdict compares per-graph colour histograms at every iteration
-(including t=0); refinement stops at the first differing histogram, when
-the induced partition repeats, or at the iteration cap.
+Every engine is a colour stream: `colours(g)` is a generator that yields
+the t = 0 colours and then one colour list per iteration, keeping any
+per-graph state (GWL's growing objects) as its own locals. Both graphs'
+streams share one registry, so colour ids are directly comparable between
+the two graphs. `_refine` walks the two streams side by side and compares
+per-graph colour histograms at every iteration (including t=0); it stops
+at the first differing histogram, when the induced partition repeats, or
+at the iteration cap.
 
 GWL and IGWL colour objects by `OrbitRegistry.intern_orbit`, which is
 injective on O(d)/SO(d) orbits. `i_hash_k` is the lossy k-body variant
@@ -16,7 +19,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .graph import GeometricGraph, GroupSpec, ModeMismatchError
@@ -128,14 +132,17 @@ def _refine(
     g1: GeometricGraph,
     g2: GeometricGraph,
     max_iters: int,
-    init: Callable[[GeometricGraph, int], List[int]],
-    step: Callable[[GeometricGraph, List[int], int], List[int]],
+    colours: Callable[[GeometricGraph], Iterator[List[int]]],
     stable_exit: bool = True,
 ) -> Tuple[Verdict, RefinementTrace]:
-    """Shared driver: init colours, iterate step, compare histograms.
+    """Shared driver: walk both graphs' colour streams, compare histograms.
 
-    step(g, colours, which) returns next-iteration colours; which is 0/1 so
-    stateful engines (GWL's growing objects) can keep per-graph state.
+    colours(g) yields the t = 0 colours and then one colour list per
+    iteration. zip asks g1's stream before g2's at every t, so colours are
+    interned in the same order as refining g1 then g2 step by step, and
+    first-encounter colour ids do not depend on how an engine is written.
+    The loop returns before asking for the next item, so no step past the
+    stopping point is computed.
 
     stable_exit controls whether a repeated partition ends the run early.
     That exit is sound only when next colours are a function of the current
@@ -146,40 +153,35 @@ def _refine(
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    c1, c2 = init(g1, 0), init(g2, 1)
-    rows = [_row(0, c1, c2)]
-    if not rows[0].histograms_equal:
-        return (
-            Verdict(True, 0, False),
-            RefinementTrace(tuple(rows), HISTOGRAMS_DIFFER),
-        )
-    prev_sig = _partition_signature(c1, c2)
-    stable_now = False
-    for t in range(1, max_iters + 1):
-        c1, c2 = step(g1, c1, 0), step(g2, c2, 1)
+    rows: List[TraceRow] = []
+    prev_sig = None
+    for t, (c1, c2) in enumerate(zip(colours(g1), colours(g2))):
         rows.append(_row(t, c1, c2))
         if not rows[-1].histograms_equal:
-            return (
-                Verdict(True, t, False),
-                RefinementTrace(tuple(rows), HISTOGRAMS_DIFFER),
-            )
+            return Verdict(True, t, False), RefinementTrace(tuple(rows), HISTOGRAMS_DIFFER)
         sig = _partition_signature(c1, c2)
-        stable_now = sig == prev_sig
-        if stable_now and stable_exit:
-            return (
-                Verdict(False, t, True),
-                RefinementTrace(tuple(rows), PARTITION_STABLE),
-            )
+        if sig == prev_sig and (stable_exit or t == max_iters):
+            return Verdict(False, t, True), RefinementTrace(tuple(rows), PARTITION_STABLE)
+        if t == max_iters:
+            return Verdict(False, t, False), RefinementTrace(tuple(rows), MAX_ITERS)
         prev_sig = sig
-    if stable_now:
-        return (
-            Verdict(False, max_iters, True),
-            RefinementTrace(tuple(rows), PARTITION_STABLE),
-        )
-    return (
-        Verdict(False, max_iters, False),
-        RefinementTrace(tuple(rows), MAX_ITERS),
-    )
+
+
+def _scalar_colours(g: GeometricGraph, reg: OrbitRegistry) -> List[int]:
+    return [reg.intern_key(("s", g.scalars[i])) for i in range(g.n)]
+
+
+def _leaves(g: GeometricGraph, c: List[int]) -> List[Leaf]:
+    return [Leaf(c[i], g.vectors[i]) for i in range(g.n)]
+
+
+def _nodes(g: GeometricGraph, c: List[int], sub: Sequence) -> List[Node]:
+    """Depth-one objects: node i's colour and sub-object, with each
+    neighbour's colour, sub-object and relative position."""
+    return [
+        Node(c[i], sub[i], tuple(Child(c[j], sub[j], g.rel_vec(i, j)) for j in g.neighbors(i)))
+        for i in range(g.n)
+    ]
 
 
 def run_wl(
@@ -191,16 +193,16 @@ def run_wl(
         max_iters = _default_cap(g1, g2, geometric=False)
     reg = OrbitRegistry(g1.ctx, g1.dim, proper=False)
 
-    def init(g: GeometricGraph, which: int) -> List[int]:
-        return [reg.intern_key(("s", g.scalars[i])) for i in range(g.n)]
+    def colours(g: GeometricGraph) -> Iterator[List[int]]:
+        c = _scalar_colours(g, reg)
+        while True:
+            yield c
+            c = [
+                reg.intern_key((c[i], tuple(sorted(c[j] for j in g.neighbors(i)))))
+                for i in range(g.n)
+            ]
 
-    def step(g: GeometricGraph, c: List[int], which: int) -> List[int]:
-        return [
-            reg.intern_key((c[i], tuple(sorted(c[j] for j in g.neighbors(i)))))
-            for i in range(g.n)
-        ]
-
-    return _refine(g1, g2, max_iters, init, step)
+    return _refine(g1, g2, max_iters, colours)
 
 
 def run_gwl(
@@ -215,27 +217,16 @@ def run_gwl(
     if max_iters is None:
         max_iters = _default_cap(g1, g2, geometric=True)
     reg = OrbitRegistry(g1.ctx, g1.dim, grp.proper)
-    objs = [None, None]  # per-graph list of current objects
 
-    def init(g: GeometricGraph, which: int) -> List[int]:
-        c = [reg.intern_key(("s", g.scalars[i])) for i in range(g.n)]
-        objs[which] = [Leaf(c[i], g.vectors[i]) for i in range(g.n)]
-        return c
+    def colours(g: GeometricGraph) -> Iterator[List[int]]:
+        c = _scalar_colours(g, reg)
+        objs = _leaves(g, c)
+        while True:
+            yield c
+            objs = _nodes(g, c, objs)
+            c = [reg.intern_orbit(o) for o in objs]
 
-    def step(g: GeometricGraph, c: List[int], which: int) -> List[int]:
-        prev = objs[which]
-        nodes = [
-            Node(
-                c[i],
-                prev[i],
-                tuple(Child(c[j], prev[j], g.rel_vec(i, j)) for j in g.neighbors(i)),
-            )
-            for i in range(g.n)
-        ]
-        objs[which] = nodes
-        return [reg.intern_orbit(node) for node in nodes]
-
-    return _refine(g1, g2, max_iters, init, step, stable_exit=False)
+    return _refine(g1, g2, max_iters, colours, stable_exit=False)
 
 
 def run_igwl(
@@ -254,24 +245,13 @@ def run_igwl(
         max_iters = _default_cap(g1, g2, geometric=True)
     reg = OrbitRegistry(g1.ctx, g1.dim, grp.proper)
 
-    def init(g: GeometricGraph, which: int) -> List[int]:
-        return [reg.intern_key(("s", g.scalars[i])) for i in range(g.n)]
+    def colours(g: GeometricGraph) -> Iterator[List[int]]:
+        c = _scalar_colours(g, reg)
+        while True:
+            yield c
+            c = [reg.intern_orbit(o) for o in _nodes(g, c, _leaves(g, c))]
 
-    def step(g: GeometricGraph, c: List[int], which: int) -> List[int]:
-        out = []
-        for i in range(g.n):
-            node = Node(
-                c[i],
-                Leaf(c[i], g.vectors[i]),
-                tuple(
-                    Child(c[j], Leaf(c[j], g.vectors[j]), g.rel_vec(i, j))
-                    for j in g.neighbors(i)
-                ),
-            )
-            out.append(reg.intern_orbit(node))
-        return out
-
-    return _refine(g1, g2, max_iters, init, step)
+    return _refine(g1, g2, max_iters, colours)
 
 
 def _tuple_descriptor(
@@ -319,16 +299,8 @@ def i_hash_k(
     if not nbrs:
         return reg.intern_key(("kbody-isolated", k, c_centre))
 
-    def tuples(depth: int):
-        if depth == 0:
-            yield ()
-            return
-        for rest in tuples(depth - 1):
-            for nb in nbrs:
-                yield rest + (nb,)
-
     descriptors = sorted(
-        _tuple_descriptor(centre_vecs, picks, reg) for picks in tuples(k - 1)
+        _tuple_descriptor(centre_vecs, picks, reg) for picks in product(nbrs, repeat=k - 1)
     )
     return reg.intern_bag(("kbody", k, c_centre, tuple(descriptors)))
 
@@ -348,14 +320,18 @@ def run_igwl_k(
         max_iters = _default_cap(g1, g2, geometric=True)
     reg = OrbitRegistry(g1.ctx, g1.dim, grp.proper)
 
-    def init(g: GeometricGraph, which: int) -> List[int]:
-        return [reg.intern_key(("s", g.scalars[i])) for i in range(g.n)]
+    def colours(g: GeometricGraph) -> Iterator[List[int]]:
+        c = _scalar_colours(g, reg)
+        while True:
+            yield c
+            c = [
+                i_hash_k(
+                    (c[i], g.vectors[i]),
+                    [(c[j], g.vectors[j], g.rel_vec(i, j)) for j in g.neighbors(i)],
+                    k,
+                    reg,
+                )
+                for i in range(g.n)
+            ]
 
-    def step(g: GeometricGraph, c: List[int], which: int) -> List[int]:
-        out = []
-        for i in range(g.n):
-            nbrs = [(c[j], g.vectors[j], g.rel_vec(i, j)) for j in g.neighbors(i)]
-            out.append(i_hash_k((c[i], g.vectors[i]), nbrs, k, reg))
-        return out
-
-    return _refine(g1, g2, max_iters, init, step)
+    return _refine(g1, g2, max_iters, colours)

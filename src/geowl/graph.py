@@ -401,6 +401,8 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
         raise GraphFormatError(f"dim must be 1, 2 or 3, got {dim!r}")
     if mode not in (EXACT, FLOAT):
         raise GraphFormatError(f"unknown numeric mode {mode!r}")
+    if not isinstance(raw_nodes, list):
+        raise GraphFormatError("nodes must be a JSON list of node objects")
     points = []
     for k, node in enumerate(raw_nodes):
         try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .engines import RefinementTrace, Verdict, _refine
 from .graph import GeometricGraph
@@ -179,32 +179,24 @@ def run_so2_gwl(
     # key colours get their own registry: sharing the orbit registry's
     # counter would renumber the orbit codes, which set the message norms
     col = so2_registry(eps).intern_key
-    msgs: List[Optional[List[Tuple[float, float]]]] = [None, None]
 
-    def init(g: GeometricGraph, which: int) -> List[int]:
-        msgs[which] = None
-        return [col(("s", g.scalars[i])) for i in range(g.n)]
+    def colours(g: GeometricGraph) -> Iterator[List[int]]:
+        c = [col(("s", g.scalars[i])) for i in range(g.n)]
+        yield c
+        state = []
+        for v in range(g.n):
+            edge_msgs = []
+            for u in g.neighbors(v):
+                h = so2_hash([_as_float_points([g.rel_vec(v, u)])[0]], reg)
+                factor = 1.0 + col(("m0", c[v], c[u], h.orbit_code))
+                edge_msgs.append((factor * h.vector[0] / h.norm, factor * h.vector[1] / h.norm))
+            state.append(edge_msgs)
+        while True:
+            hashes = [so2_hash(s, reg) for s in state]
+            yield [col(("orbit", h.orbit_code)) for h in hashes]
+            state = [[hashes[u].vector for u in g.neighbors(v)] for v in range(g.n)]
 
-    def step(g: GeometricGraph, c: List[int], which: int) -> List[int]:
-        if msgs[which] is None:
-            state = []
-            for v in range(g.n):
-                edge_msgs = []
-                for u in g.neighbors(v):
-                    h = so2_hash([_as_float_points([g.rel_vec(v, u)])[0]], reg)
-                    factor = 1.0 + col(("m0", c[v], c[u], h.orbit_code))
-                    edge_msgs.append(
-                        (factor * h.vector[0] / h.norm, factor * h.vector[1] / h.norm)
-                    )
-                state.append(edge_msgs)
-        else:
-            prev = msgs[which]
-            state = [[prev[u] for u in g.neighbors(v)] for v in range(g.n)]
-        hashes = [so2_hash(s, reg) for s in state]
-        msgs[which] = [h.vector for h in hashes]
-        return [col(("orbit", h.orbit_code)) for h in hashes]
-
-    return _refine(g1, g2, max_iters, init, step)
+    return _refine(g1, g2, max_iters, colours)
 
 
 def equivariant_sum_demo(X) -> Tuple[float, float]:

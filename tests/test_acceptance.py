@@ -293,3 +293,9 @@ def test_criterion_9_determinism():
         _, second = fn()
         ok &= digest(first) == digest(second)
     announce(9, "bit-identical records across consecutive runs", ok)
+
+
+if __name__ == "__main__":
+    # the criterion-9 records' digests, to compare with another revision's
+    for num, fn in SUITES.items():
+        print(num, digest(fn()[1]))

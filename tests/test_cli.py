@@ -146,10 +146,13 @@ def _two_nodes(**changes):
         _two_nodes(nodes=[{"s": [0], "x": ["0", "0"], "v": ["12"]}, {"s": [0], "x": ["1", "0"]}]),
         _two_nodes(nodes=[{"s": [0], "x": {"0": 1, "1": 2}}, {"s": [0], "x": ["1", "0"]}]),
         _two_nodes(nodes=[{"s": {"a": 1}, "x": ["0", "0"]}, {"s": [0], "x": ["1", "0"]}]),
+        _two_nodes(nodes=5),
+        _two_nodes(nodes={"a": 1}),
     ],
     ids=[
         "dim-not-int", "dim-4", "edge-float", "edge-bool", "scalar-list", "cutoff-dim",
         "string-fields", "string-vector", "object-position", "object-scalars",
+        "nodes-int", "nodes-object",
     ],
 )
 def test_malformed_graph_field_is_input_error(tmp_path, capsys, data):
@@ -160,6 +163,52 @@ def test_malformed_graph_field_is_input_error(tmp_path, capsys, data):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.fixture
+def input_files(tmp_path):
+    """Graph files and unreadable paths for the bad-argument cases below."""
+    from conftest import exact_graph, float_graph
+
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    graphs = {
+        "2d": exact_graph(square, edges=[(0, 1), (1, 2)]),
+        "3d": exact_graph([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)], edges=[(0, 1)]),
+        "float": float_graph(square, edges=[(0, 1), (1, 2)]),
+    }
+    paths = {"dir": str(tmp_path)}
+    for name, g in graphs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        dump_graph(g, paths[name])
+    paths["not_utf8"] = str(tmp_path / "not_utf8.json")
+    Path(paths["not_utf8"]).write_bytes(b'{"dim": 2, "numeric": "exact\xff"}')
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iso", "{2d}", "{3d}"],
+        ["iso", "{2d}", "{float}"],
+        ["so2", "refine", "{2d}", "{3d}"],
+        ["so2", "refine", "{2d}", "{2d}", "--max-iters", "0"],
+        ["props", "{3d}", "--dihedral", "a,b,c,d"],
+        ["props", "{3d}", "--dihedral", "0,1,2,9"],
+        ["gen", "lfold", "--L", "3", "--alpha", "nan", "--out", "{dir}"],
+        ["distinguish", "{dir}", "{dir}"],
+        ["distinguish", "{not_utf8}", "{not_utf8}"],
+    ],
+    ids=[
+        "iso-dims", "iso-modes", "so2-refine-dims", "so2-refine-max-iters-0",
+        "props-dihedral-not-int", "props-dihedral-range", "gen-lfold-alpha-nan",
+        "distinguish-directory", "distinguish-not-utf8",
+    ],
+)
+def test_bad_argument_or_unreadable_file_is_input_error(input_files, capsys, argv):
+    assert main([arg.format(**input_files) for arg in argv]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -16,11 +16,13 @@ from geowl import (
     run_gwl,
     run_igwl,
     run_igwl_k,
+    run_so2_gwl,
     run_wl,
 )
-from geowl.engines import HISTOGRAMS_DIFFER, PARTITION_STABLE, report_dict
+from geowl.engines import HISTOGRAMS_DIFFER, MAX_ITERS, PARTITION_STABLE, report_dict
 from geowl.generators import mst_bottleneck_sq, with_cutoff_sq
 from geowl.graph import ModeMismatchError
+from geowl.registry import OrbitRegistry
 
 
 def shuffled_copy(g, seed):
@@ -59,6 +61,39 @@ def test_wl_size_and_degree_separations():
     verdict, trace = run_wl(path3, triangle)
     assert verdict.distinguished and verdict.iteration == 1  # degree histogram
     assert trace.termination == HISTOGRAMS_DIFFER
+
+
+def test_refinement_stopping_rules(monkeypatch):
+    o3 = GroupSpec("O", 3)
+    a, b, _ = gen_triangles_vs_hexagon()
+    for run in (
+        lambda: run_wl(a, b, max_iters=0),
+        lambda: run_gwl(a, b, GroupSpec("O", 2), max_iters=0),
+        lambda: run_igwl(a, b, GroupSpec("O", 2), max_iters=0),
+        lambda: run_igwl_k(a, b, GroupSpec("O", 2), 2, max_iters=0),
+        lambda: run_so2_gwl(a, b, max_iters=0),
+    ):
+        with pytest.raises(ValueError):
+            run()
+    g1, g2, _ = gen_kchain(4)
+    # GWL never exits early on a stable partition; it reports stability at its cap
+    verdict, trace = run_gwl(g1, g1, o3)
+    assert (verdict.iteration, verdict.stable) == (6, True)
+    assert trace.termination == PARTITION_STABLE and len(trace.rows) == 7
+    for run, stop in ((lambda: run_wl(g1, g1), 3), (lambda: run_igwl(g1, g1, o3), 2)):
+        verdict, trace = run()
+        assert (verdict.iteration, verdict.stable) == (stop, True)
+        assert trace.termination == PARTITION_STABLE and len(trace.rows) == stop + 1
+    # a run still refining at its cap computes no step past it
+    calls = []
+    intern_orbit = OrbitRegistry.intern_orbit
+    monkeypatch.setattr(
+        OrbitRegistry, "intern_orbit", lambda reg, obj: calls.append(1) or intern_orbit(reg, obj)
+    )
+    verdict, trace = run_gwl(g1, g2, o3, max_iters=1)
+    assert (verdict.distinguished, verdict.iteration, verdict.stable) == (False, 1, False)
+    assert trace.termination == MAX_ITERS and len(trace.rows) == 2
+    assert len(calls) == g1.n + g2.n
 
 
 # --- GWL --------------------------------------------------------------------
