@@ -92,7 +92,6 @@ def cmd_distinguish(args) -> int:
 
 def cmd_gen(args) -> int:
     out = args.out
-    os.makedirs(out, exist_ok=True)
     if args.family == "kchain":
         if args.k is None or args.k < 2:
             raise CliUsageError("kchain requires --k >= 2")
@@ -108,12 +107,15 @@ def cmd_gen(args) -> int:
         if args.L is None or args.L < 2:
             raise CliUsageError("lfold requires --L >= 2")
         g = generators.gen_lfold(args.L, args.alpha)
+        os.makedirs(out, exist_ok=True)
         path = os.path.join(out, f"lfold_L{args.L}.json")
         dump_graph(g, path)
         print(path)
         return EXIT_SAME
     else:
         raise CliUsageError(f"unknown family {args.family!r}")
+    # only now that the graphs exist: a bad argument leaves no directory
+    os.makedirs(out, exist_ok=True)
     paths = [os.path.join(out, f"{stem}_{side}.json") for side in ("a", "b")]
     dump_graph(g1, paths[0])
     dump_graph(g2, paths[1])

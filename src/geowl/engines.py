@@ -18,13 +18,14 @@ only sees configurations of at most k nodes at a time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
+from itertools import chain, product
+from math import lcm
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .graph import GeometricGraph, GroupSpec, ModeMismatchError
-from .numeric import Vec
+from .numeric import EXACT, Vec
 from .objects import Child, Leaf, Node
 from .registry import OrbitRegistry
 
@@ -97,6 +98,40 @@ def _check_pair(g1: GeometricGraph, g2: GeometricGraph, grp: Optional[GroupSpec]
         raise ModeMismatchError("cannot compare graphs in different numeric modes")
     if grp is not None and grp.dim != g1.dim:
         raise ValueError("group dimension does not match the graphs")
+
+
+def _on_ints(g1: GeometricGraph, g2: GeometricGraph) -> Tuple[GeometricGraph, GeometricGraph]:
+    """Both graphs of an exact pair scaled by one m > 0, the LCM of the
+    denominators of every position and feature-vector component, so every
+    coordinate is a plain int.
+
+    Exact: scaling by m multiplies every Gram entry by m^2 and every
+    determinant by m^d, so each equality, zero test, sign and order the
+    engines look at (pushes, bases, orientations, norm profiles, bucket
+    keys, k-body descriptors) comes out as on the unscaled pair, and the
+    colours and traces are the same. Float pairs, and pairs already on
+    ints, come back unchanged; the callers' graphs are never modified.
+    """
+    if g1.ctx.mode != EXACT:
+        return g1, g2
+    m = 1
+    for g in (g1, g2):
+        for vec in chain(g.positions, *g.vectors):
+            m = lcm(m, *(c.denominator for c in vec))
+    if m == 1:
+        return g1, g2
+
+    def up(vec: Vec) -> Vec:
+        return tuple(c.numerator * (m // c.denominator) for c in vec)
+
+    return tuple(
+        replace(
+            g,
+            positions=tuple(map(up, g.positions)),
+            vectors=tuple(tuple(map(up, vs)) for vs in g.vectors),
+        )
+        for g in (g1, g2)
+    )
 
 
 def _default_cap(g1: GeometricGraph, g2: GeometricGraph, geometric: bool) -> int:
@@ -214,6 +249,7 @@ def run_gwl(
     """Geometric refinement: per-node objects accumulate the full rotated
     neighbourhood geometry, coloured injectively on group orbits."""
     _check_pair(g1, g2, grp)
+    g1, g2 = _on_ints(g1, g2)
     if max_iters is None:
         max_iters = _default_cap(g1, g2, geometric=True)
     reg = OrbitRegistry(g1.ctx, g1.dim, grp.proper)
@@ -241,6 +277,7 @@ def run_igwl(
     colours but the fixed initial vectors and relative positions.
     """
     _check_pair(g1, g2, grp)
+    g1, g2 = _on_ints(g1, g2)
     if max_iters is None:
         max_iters = _default_cap(g1, g2, geometric=True)
     reg = OrbitRegistry(g1.ctx, g1.dim, grp.proper)
@@ -316,6 +353,7 @@ def run_igwl_k(
     if k < 2:
         raise ValueError("body order k must be at least 2")
     _check_pair(g1, g2, grp)
+    g1, g2 = _on_ints(g1, g2)
     if max_iters is None:
         max_iters = _default_cap(g1, g2, geometric=True)
     reg = OrbitRegistry(g1.ctx, g1.dim, grp.proper)

@@ -453,8 +453,13 @@ def dump_graph(g: GeometricGraph, path: str) -> None:
 
 
 def load_graph(path: str, eps: float = DEFAULT_EPS) -> GeometricGraph:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(
+            f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+        ) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

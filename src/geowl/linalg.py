@@ -9,6 +9,8 @@ the sequences span the full space.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import truediv
 from typing import List, Optional, Sequence, Tuple
 
 from .numeric import EXACT, Number, NumericContext, Vec
@@ -123,13 +125,15 @@ def independent_subset(vectors: Sequence[Vec], ctx: NumericContext, limit: int) 
     """
     kept: List[int] = []
     basis: List[List[Number]] = []  # Gram-Schmidt-style reduced rows (unnormalised)
+    # int / int is a float, so exact mode divides through Fraction
+    div = Fraction if ctx.mode == EXACT else truediv
     for idx, v in enumerate(vectors):
         r = list(v)
         for b in basis:
             bb = sum(x * x for x in b)
             if bb == 0:
                 continue
-            coef = sum(x * y for x, y in zip(r, b)) / bb
+            coef = div(sum(x * y for x, y in zip(r, b)), bb)
             r = [x - coef * y for x, y in zip(r, b)]
         residual = sum(x * x for x in r)
         scale = max(1, abs(norm_sq(v)))
@@ -144,7 +148,9 @@ def independent_subset(vectors: Sequence[Vec], ctx: NumericContext, limit: int) 
 def solve_square(m: Sequence[Vec], rhs_rows: Sequence[Vec]) -> Optional[Tuple[Vec, ...]]:
     """Solve M @ X = B for X, with B given by rows; None if singular.
 
-    Exact when inputs are Fractions. Rows of the returned matrix are rows of X.
+    Exact when inputs are ints or Fractions (an int pivot divides through
+    Fraction, since int / int is a float). Rows of the returned matrix are
+    rows of X.
     """
     n = len(m)
     a = [list(row) + list(brow) for row, brow in zip(m, rhs_rows)]
@@ -159,7 +165,8 @@ def solve_square(m: Sequence[Vec], rhs_rows: Sequence[Vec]) -> Optional[Tuple[Ve
             return None
         a[col], a[pivot] = a[pivot], a[col]
         pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
+        div = truediv if isinstance(pv, float) else Fraction
+        a[col] = [div(x, pv) for x in a[col]]
         for r in range(n):
             if r != col and a[r][col] != 0:
                 f = a[r][col]

@@ -116,7 +116,7 @@ def dihedral_cos(g: GeometricGraph, l: int, j: int, k: int, m: int):
     num = linalg.dot(n1, n2)
     if ctx.mode == "exact":
         sign = 0 if num == 0 else (1 if num > 0 else -1)
-        return sign * num * num / (q1 * q2)
+        return Fraction(sign * num * num, q1 * q2)
     return num / math.sqrt(q1 * q2)
 
 

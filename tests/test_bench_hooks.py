@@ -2,11 +2,15 @@
 refactor that renames or bypasses one of them makes its per-layer metrics
 read as absent. These checks catch that in the unit tests."""
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
-from geowl import GroupSpec, gen_kchain, run_gwl
+from geowl import GroupSpec, apply_isometry, gen_kchain, gen_random_cloud, random_isometry, run_gwl
+from geowl.cli import main
+from geowl.generators import mst_bottleneck_sq, with_cutoff_sq
+from geowl.graph import dump_graph
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -26,6 +30,7 @@ def test_every_hook_target_resolves(tracing):
 
 
 def test_traced_gwl_records_orbit_search(tracing):
+    tracing.clear_caches()
     tracer = tracing.Tracer(0)
     tracer.install()
     try:
@@ -38,3 +43,35 @@ def test_traced_gwl_records_orbit_search(tracing):
     assert [name for name, value in metrics.items() if value is None] == []
     assert metrics["registry.skeleton.s"] > 0
     assert metrics["registry.norm_profile.s"] > 0
+    assert tracing._dot_cache_size() > 0
+
+
+def test_traced_cli_metrics_are_finite_numbers(tracing, tmp_path, capsys):
+    # the in-process CLI path: file loading, the oracle, k-body bags; gwl
+    # adds the orbit searches that every ratio metric divides by
+    cloud = gen_random_cloud(5, 3, seed=4)
+    g = with_cutoff_sq(cloud, mst_bottleneck_sq(cloud.positions))
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    dump_graph(g, a)
+    dump_graph(apply_isometry(g, random_isometry(g.n, 3, 5, proper=True)), b)
+    tracing.clear_caches()
+    tracer = tracing.Tracer(0)
+    tracer.install()
+    try:
+        for argv in (
+            ["distinguish", a, b, "--test", "igwl-k", "--k", "3", "--group", "SO"],
+            ["iso", a, b, "--group", "SO"],
+            ["distinguish", a, b, "--test", "gwl"],
+        ):
+            assert main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(fragile_warnings=0)
+    not_finite = {
+        name: value
+        for name, value in metrics.items()
+        if not isinstance(value, (int, float)) or not math.isfinite(value)
+    }
+    assert not_finite == {}
+    for name in ("oracle.calls", "oracle.push.calls", "registry.intern_bag.calls", "graph.load.calls"):
+        assert metrics[name] > 0, name

@@ -209,6 +209,22 @@ def test_bad_argument_or_unreadable_file_is_input_error(input_files, capsys, arg
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if "{not_utf8}" in argv:
+        assert input_files["not_utf8"] in captured.err and "not UTF-8" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gen", "lfold", "--L", "3", "--alpha", "nan"], EXIT_INPUT),
+        (["gen", "kchain", "--k", "1"], EXIT_USAGE),
+    ],
+    ids=["lfold-alpha-nan", "kchain-k-1"],
+)
+def test_gen_error_leaves_no_directory(tmp_path, capsys, argv, code):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    assert not out.exists()
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from geowl import (
 from geowl.engines import HISTOGRAMS_DIFFER, MAX_ITERS, PARTITION_STABLE, report_dict
 from geowl.generators import mst_bottleneck_sq, with_cutoff_sq
 from geowl.graph import ModeMismatchError
+from geowl.linalg import GramMatcher
 from geowl.registry import OrbitRegistry
 
 
@@ -250,3 +252,85 @@ def test_report_serialisation(o3):
     assert report["verdict"] == "distinguished"
     assert report["iteration"] == 2
     assert len(report["trace"]["rows"]) == 3
+
+
+# --- exact pairs on ints -----------------------------------------------------
+
+
+def fraction_pair(seed):
+    """An exact cutoff cloud with Fraction positions and feature vectors, and
+    a rotated, permuted copy of it."""
+    rng = random.Random(("fraction-pair", seed).__repr__())
+    cloud = gen_random_cloud(5, 3, seed=seed)
+    vectors = tuple(
+        (tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)),)
+        for _ in range(cloud.n)
+    )
+    g = with_cutoff_sq(replace(cloud, vectors=vectors), mst_bottleneck_sq(cloud.positions))
+    return g, apply_isometry(g, random_isometry(g.n, 3, seed + 1, proper=True))
+
+
+def scaled(g, s):
+    return replace(
+        g,
+        positions=tuple(tuple(s * c for c in x) for x in g.positions),
+        vectors=tuple(tuple(tuple(s * c for c in v) for v in vs) for vs in g.vectors),
+    )
+
+
+ENGINES = {"gwl": run_gwl, "igwl": run_igwl, "igwl-k": lambda a, b, grp: run_igwl_k(a, b, grp, 3)}
+
+
+def test_exact_engines_compare_only_ints(monkeypatch):
+    g, h = fraction_pair(3)
+    assert any(type(c) is Fraction for x in g.positions + h.positions for c in x)
+    seen = []
+    push, intern_bag = GramMatcher.push, OrbitRegistry.intern_bag
+
+    def pushed(matcher, a, b):
+        seen.append(a + b)
+        return push(matcher, a, b)
+
+    def bagged(reg, bag):
+        # a k-body bag holds (colours, shape, Gram rows, sign) descriptors
+        seen.append(tuple(x for descriptor in bag[3] for row in descriptor[2] for x in row))
+        return intern_bag(reg, bag)
+
+    monkeypatch.setattr(GramMatcher, "push", pushed)
+    monkeypatch.setattr(OrbitRegistry, "intern_bag", bagged)
+    for name, run in ENGINES.items():
+        for grp in (GroupSpec("O", 3), GroupSpec("SO", 3)):
+            seen.clear()
+            assert not run(g, h, grp)[0].distinguished
+            assert seen, name
+            assert all(type(c) is int for t in seen for c in t), name
+
+
+@pytest.mark.parametrize("variant", ["O", "SO"])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_scaling_both_graphs_keeps_verdict_and_trace(engine, variant):
+    run = ENGINES[engine]
+    grp = GroupSpec(variant, 3)
+    pairs = [fraction_pair(5), gen_kchain(4)[:2]]
+    g, h = fraction_pair(7)
+    pairs.append((g, scaled(h, Fraction(1, 2))))  # not congruent
+    outcomes = set()
+    for a, b in pairs:
+        want = run(a, b, grp)
+        s = Fraction(7, 3)
+        assert run(scaled(a, s), scaled(b, s), grp) == want
+        outcomes.add(want[0].distinguished)
+    assert outcomes == {True, False}
+
+
+def test_igwl_k_keeps_an_int_star_congruent_to_its_rotations():
+    # Gram-Schmidt on int coordinates must not divide in floats: (46, -34, 27)
+    # is (6, 1, 2) + 5 (8, -7, 5), and a float residual made it look
+    # independent in some copies and not in others
+    so3 = GroupSpec("SO", 3)
+    spokes = [(6, 1, 2), (8, -7, 5), (46, -34, 27), (-1, 1, 6)]
+    g = exact_graph([(0, 0, 0)] + spokes, edges=[(0, i) for i in range(1, 5)])
+    for seed in range(3):
+        copy = apply_isometry(g, random_isometry(5, 3, seed, proper=True))
+        assert geometric_isomorphism_oracle(g, copy, so3)[0]
+        assert not run_igwl_k(g, copy, so3, 5)[0].distinguished, seed

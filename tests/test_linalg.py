@@ -35,6 +35,22 @@ def test_independent_subset_greedy_rank():
     assert linalg.independent_subset(vecs[:2], ctx, 3) == [0]
 
 
+def test_independent_subset_on_ints_matches_fractions():
+    # int / int is a float: (46, -34, 27) = (6, 1, 2) + 5 (8, -7, 5) then
+    # keeps a rounding residual and looks independent
+    ctx = exact_context()
+    ints = [(6, 1, 2), (8, -7, 5), (46, -34, 27), (-1, 1, 6)]
+    assert linalg.independent_subset(ints, ctx, 3) == [0, 1, 3]
+    rng = random.Random("int-rank")
+    for _ in range(300):
+        vecs = [tuple(rng.randint(-50, 50) for _ in range(3)) for _ in range(2)]
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        vecs.append(tuple(a * x + b * y for x, y in zip(*vecs)))
+        vecs.append(tuple(rng.randint(-50, 50) for _ in range(3)))
+        fracs = [tuple(map(Fraction, v)) for v in vecs]
+        assert linalg.independent_subset(vecs, ctx, 3) == linalg.independent_subset(fracs, ctx, 3)
+
+
 def test_solve_square_recovers_rotation():
     # Q maps the source basis onto the destination basis
     c, s = Fraction(3, 5), Fraction(4, 5)

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,22 @@ def test_witness_replays_the_isometry():
             hits += 1
             assert apply_isometry(g2, wit) == g1
     assert hits > 0  # most random clouds span the space
+
+
+def test_witness_is_exact_for_int_coordinates(o3):
+    # int pivots must not divide in floats: a float witness would demote
+    # the replayed graph to float mode with a warning
+    g = exact_graph(
+        [(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 3)],
+        edges=[(0, 1), (1, 2), (2, 3)],
+        vectors=[[(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)], [(1, 1, 1)]],
+    )
+    same, wit = geometric_isomorphism_oracle(g, g, o3)
+    assert same
+    assert not any(isinstance(c, float) for row in wit.matrix for c in row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert apply_isometry(g, wit) == g
 
 
 def test_vector_features_must_match(o2):

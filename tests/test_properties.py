@@ -86,6 +86,13 @@ def test_dihedral_coplanar_and_perpendicular():
     assert dihedral_cos(folded, 0, 1, 2, 3) == -1
 
 
+def test_exact_dihedral_stays_rational():
+    # normals (0, 0, 1) and (0, -1, 1): signed squared cosine 1/2, not 0.5
+    g = exact_graph([(0, 1, 0), (0, 0, 0), (1, 0, 0), (1, 1, 1)])
+    value = dihedral_cos(g, 0, 1, 2, 3)
+    assert type(value) is Fraction and value == Fraction(1, 2)
+
+
 def test_dihedral_matches_independent_normal_computation():
     rng = random.Random(42)
     for _ in range(20):
