@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import List, Optional
 
 from . import engines, generators, properties, so2
 from .graph import GeometricGraph, GroupSpec, dump_graph, load_graph
@@ -90,6 +90,27 @@ def cmd_distinguish(args) -> int:
     return EXIT_DIFFERENT if verdict.distinguished else EXIT_SAME
 
 
+def _save(out: str, files) -> List[str]:
+    """Write each (name, graph or JSON dict) into directory out, created if
+    missing, and return the paths. An OSError (out is a file, a path is not
+    writable) becomes a CliInputError naming the path: exit 3, one line."""
+    paths = []
+    try:
+        os.makedirs(out, exist_ok=True)
+        for name, content in files:
+            path = os.path.join(out, name)
+            if isinstance(content, dict):
+                with open(path, "w") as fh:
+                    json.dump(content, fh, indent=1)
+                    fh.write("\n")
+            else:
+                dump_graph(content, path)
+            paths.append(path)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {exc.filename or out}: {exc.strerror or exc}")
+    return paths
+
+
 def cmd_gen(args) -> int:
     out = args.out
     if args.family == "kchain":
@@ -107,23 +128,13 @@ def cmd_gen(args) -> int:
         if args.L is None or args.L < 2:
             raise CliUsageError("lfold requires --L >= 2")
         g = generators.gen_lfold(args.L, args.alpha)
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, f"lfold_L{args.L}.json")
-        dump_graph(g, path)
-        print(path)
+        print(*_save(out, [(f"lfold_L{args.L}.json", g)]))
         return EXIT_SAME
     else:
         raise CliUsageError(f"unknown family {args.family!r}")
     # only now that the graphs exist: a bad argument leaves no directory
-    os.makedirs(out, exist_ok=True)
-    paths = [os.path.join(out, f"{stem}_{side}.json") for side in ("a", "b")]
-    dump_graph(g1, paths[0])
-    dump_graph(g2, paths[1])
-    sidecar = os.path.join(out, f"{stem}_pair.json")
-    with open(sidecar, "w") as fh:
-        json.dump(spec.to_dict(), fh, indent=1)
-        fh.write("\n")
-    for p in paths + [sidecar]:
+    files = [(f"{stem}_a.json", g1), (f"{stem}_b.json", g2), (f"{stem}_pair.json", spec.to_dict())]
+    for p in _save(out, files):
         print(p)
     verified = "oracle-verified" if spec.verified else "not verified (beyond oracle cap)"
     print(f"claimed relation: {spec.claim} ({verified})")

@@ -11,20 +11,72 @@ exactly by a depth-first search written as generators: each alignment of a
 sub-object is yielded in turn, children are assigned partners on an
 explicit stack, and the candidate Q is constrained incrementally through a
 Gram matcher rather than ever being computed.
+
+In exact mode the search stops searching once the map is pinned: when the
+matcher's basis has as many pairs as the rank r of all vectors in the top
+object, the basis spans that object, and every Q consistent with it sends
+each remaining vector of b to one fixed vector. A vector is then named by
+an integer key, (v.v, v.e_1, ..., v.e_r) with e_i the basis vectors of its
+own side, and u = Qw holds exactly when u and w have equal keys (the
+argument of `GramMatcher`'s docstring). The rest of the two objects is
+decided by dictionary lookups on these keys, with a memo over shared
+sub-objects, and yields at most once. The check runs on entry to a Node
+pair and before each new child but the last: a last child cannot branch,
+and its sub-object is checked on entry. Float mode never pins: under a
+tolerance a key is not stable, since nearby vectors round to different
+numbers, and equal keys would not bound the error against other vectors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from dataclasses import dataclass, field
+from operator import mul
+from typing import Iterable, Iterator, List, Optional, Tuple
 
-from .linalg import GramMatcher, norm_sq
+from .linalg import GramMatcher, det, norm_sq
 from .numeric import NumericContext, Vec
+
+
+def _greedy_basis(vectors: Iterable[Vec]) -> Tuple[Vec, ...]:
+    """A basis of the vectors' linear span, taken greedily in order and
+    stopping at len(v) vectors. Exact mode only: a vector joins when the
+    Gram determinant of basis + vector is non-zero, tested for one basis
+    vector as strict Cauchy-Schwarz, and as the plain determinant once
+    basis + vector is square."""
+    basis: Tuple[Vec, ...] = ()
+    for v in vectors:
+        if len(basis) == len(v):
+            break
+        if not basis:
+            new = any(v)
+        elif len(basis) == 1:
+            e = basis[0]
+            new = sum(map(mul, e, v)) ** 2 != sum(map(mul, e, e)) * sum(map(mul, v, v))
+        else:
+            rows = basis + (v,)
+            if len(rows) < len(v):
+                rows = [[sum(map(mul, p, q)) for q in rows] for p in rows]
+            new = det(rows) != 0
+        if new:
+            basis += (v,)
+    return basis
 
 
 @dataclass(frozen=True)
 class Leaf:
     colour: int
     vectors: Tuple[Vec, ...] = ()
+    # a field rather than functools.cached_property, which on Python 3.11
+    # takes a lock on first access and gives each instance a real __dict__,
+    # a cost that shows on small verdicts
+    _span: Optional[Tuple[Vec, ...]] = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def span(self) -> Tuple[Vec, ...]:
+        """A basis of the linear span of every vector in the object (exact
+        mode only); computed once per object."""
+        if self._span is None:
+            object.__setattr__(self, "_span", _greedy_basis(self.vectors))
+        return self._span
 
 
 @dataclass(frozen=True)
@@ -39,6 +91,19 @@ class Node:
     colour: int
     obj: "GeomObject"
     children: Tuple[Child, ...]
+    _span: Optional[Tuple[Vec, ...]] = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def span(self) -> Tuple[Vec, ...]:
+        """As Leaf.span, built from the centre's span, the child rels and
+        the children's spans, so a shared sub-object's span is computed
+        once however many parents hold it."""
+        if self._span is None:
+            vectors = [*self.obj.span, *[c.rel for c in self.children]]
+            for c in self.children:
+                vectors += c.obj.span
+            object.__setattr__(self, "_span", _greedy_basis(vectors))
+        return self._span
 
 
 GeomObject = object  # Leaf | Node
@@ -87,16 +152,107 @@ def norm_profile(obj, ctx: NumericContext) -> tuple:
     return tuple(sorted(norm_sq(v) for v in vecs))
 
 
-def _align(a, b, matcher: GramMatcher) -> Iterator[None]:
+class _Search:
+    """The state of one orbit_equal call: its matcher, the basis size at
+    which the map is pinned, and the caches of the pinned state in use.
+
+    A pinned state is fixed by the basis vectors of a's side and of b's
+    side, and lasts while the same pairs recur. Within it keys are cached
+    by vector, b's children are bucketed by (colour, key(rel)) once per
+    children tuple, and sub-object results are memoised by (id(a'), id(b')).
+    Every object reached is alive for the whole call, so no id is reused.
+    """
+
+    __slots__ = ("matcher", "basis", "rank", "_bases", "_keys", "_buckets", "_memo")
+
+    def __init__(self, matcher: GramMatcher, rank: int):
+        self.matcher = matcher
+        # float mode never pins: an empty list never has length -1
+        self.basis = [] if matcher.basis is None else matcher.basis
+        self.rank = rank
+        self._bases = None
+
+    def pinned(self) -> "_Search":
+        """Self, with the caches of the pinned state for the current basis
+        pairs: kept while they recur, emptied when they change."""
+        m = self.matcher
+        bases = ([m.v1[k] for k in self.basis], [m.v2[k] for k in self.basis])
+        if bases != self._bases:
+            self._bases, self._keys, self._buckets, self._memo = bases, ({}, {}), {}, {}
+        return self
+
+    def _key(self, v: Vec, side: int) -> tuple:
+        cache = self._keys[side]
+        key = cache.get(v)
+        if key is None:
+            dots = [sum(map(mul, v, e)) for e in self._bases[side]]
+            key = cache[v] = (sum(map(mul, v, v)), *dots)
+        return key
+
+    def equal(self, a, b) -> bool:
+        """Whether the pinned map sends b onto a, up to the order of children."""
+        if type(a) is not type(b) or a.colour != b.colour:
+            return False
+        if isinstance(a, Leaf):
+            key = self._key
+            return len(a.vectors) == len(b.vectors) and all(
+                key(u, 0) == key(w, 1) for u, w in zip(a.vectors, b.vectors)
+            )
+        if len(a.children) != len(b.children):
+            return False
+        pair = (id(a), id(b))
+        hit = self._memo.get(pair)
+        if hit is None:
+            hit = self.equal(a.obj, b.obj) and self.match(a.children, b.children, set())
+            self._memo[pair] = hit
+        return hit
+
+    def match(self, ac: Tuple[Child, ...], bc: Tuple[Child, ...], taken: set) -> bool:
+        """Whether each child in ac has a distinct partner in bc outside
+        taken that the pinned map sends onto it (taken is filled in as
+        partners are used).
+
+        First fit is exact. Under one map, "it sends b' onto a'" is an
+        equivalence between objects, so the children that a child of a can
+        take, and the children that can take one child of b, form blocks of
+        mutually matching children; greedy assignment fills a block iff its
+        two sides are equally large.
+        """
+        key = self._key
+        buckets = self._buckets.get(id(bc))
+        if buckets is None:
+            buckets = self._buckets[id(bc)] = {}
+            for idx, cb in enumerate(bc):
+                buckets.setdefault((cb.colour, key(cb.rel, 1)), []).append(idx)
+        # every rel is looked up before any sub-object is compared, so a
+        # wrong map is mostly rejected one level down, not at the leaves
+        groups = [buckets.get((ca.colour, key(ca.rel, 0))) for ca in ac]
+        if None in groups:
+            return False
+        for ca, group in zip(ac, groups):
+            for idx in group:
+                if idx not in taken and self.equal(ca.obj, bc[idx].obj):
+                    taken.add(idx)
+                    break
+            else:
+                return False
+        return True
+
+
+def _align(a, b, s: _Search) -> Iterator[None]:
     """Yield once for each consistent alignment of a with b.
 
     While suspended at a yield, the matcher holds that alignment's pairs on
     top of what it held on entry; once exhausted, the generator has rewound
-    the matcher to its starting mark. Frames nest once per tree level.
+    the matcher to its starting mark. Frames nest once per tree level. Once
+    the map is pinned, the pinned check decides the pair and yields at most
+    once, pushing nothing.
     """
     if type(a) is not type(b) or a.colour != b.colour:
         return
+    matcher = s.matcher
     if isinstance(a, Leaf):
+        # a Leaf yields at most once anyway, so it needs no pinned check
         if len(a.vectors) != len(b.vectors):
             return
         mark = matcher.mark()
@@ -106,45 +262,59 @@ def _align(a, b, matcher: GramMatcher) -> Iterator[None]:
         return
     if len(a.children) != len(b.children):
         return
-    for _ in _align(a.obj, b.obj, matcher):
-        yield from _align_children(a.children, b.children, matcher)
+    if len(s.basis) == s.rank:
+        if s.pinned().equal(a, b):
+            yield
+        return
+    for _ in _align(a.obj, b.obj, s):
+        yield from _align_children(a.children, b.children, s)
 
 
 _DONE = object()
 
 
-def _align_children(
-    ac: Tuple[Child, ...], bc: Tuple[Child, ...], matcher: GramMatcher
-) -> Iterator[None]:
+def _align_children(ac: Tuple[Child, ...], bc: Tuple[Child, ...], s: _Search) -> Iterator[None]:
     """Yield once for each assignment of ac to distinct partners in bc under
     which every child aligns, depth-first on an explicit stack of per-child
-    partner generators."""
-    used = [False] * len(bc)
+    partner generators. Before each new child but the last, once the map is
+    pinned, the remaining children are matched against the unused partners
+    by the pinned check instead."""
+    matcher, basis, rank = s.matcher, s.basis, s.rank
+    used = set()
 
     def partners(ca: Child) -> Iterator[None]:
         # only the colour is compared up front: the push rejects a differing
         # rel norm through the dot cache, and _align a differing shape
         for idx, cb in enumerate(bc):
-            if used[idx] or cb.colour != ca.colour:
+            if cb.colour != ca.colour or idx in used:
                 continue
             mark = matcher.mark()
             if matcher.push(ca.rel, cb.rel):
-                used[idx] = True
-                yield from _align(ca.obj, cb.obj, matcher)
-                used[idx] = False
+                used.add(idx)
+                yield from _align(ca.obj, cb.obj, s)
+                used.discard(idx)
             matcher.rewind(mark)
 
-    if not ac:
-        yield
-        return
-    stack = [partners(ac[0])]
-    while stack:
-        if next(stack[-1], _DONE) is _DONE:
-            stack.pop()
-        elif len(stack) == len(ac):
+    # the last child is left to the search: with one child left it cannot
+    # branch, and a Node sub-object is pin-checked on entry to _align
+    last = len(ac) - 1
+    stack: List[Iterator[None]] = []
+    k = 0
+    while True:
+        if k > last:
             yield
+        elif k == last or len(basis) != rank:
+            stack.append(partners(ac[k]))
+        elif s.pinned().match(ac[k:], bc, set(used)):
+            yield
+        # move on to the next alignment of the deepest child started
+        while stack:
+            if next(stack[-1], _DONE) is not _DONE:
+                break
+            stack.pop()
         else:
-            stack.append(partners(ac[len(stack)]))
+            return
+        k = len(stack)
 
 
 def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool) -> bool:
@@ -155,6 +325,16 @@ def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool) -> bool:
     by both before it calls this, and the search itself rejects any
     difference in structure (colours, shapes, child skeletons) or in a
     vector's norm, so a direct call gets the same answer.
+
+    In exact mode the search pins once the matcher's basis reaches the rank
+    of a's vectors (the module docstring says why that is exact) and then
+    matches the rest by integer keys: each child of a takes the first
+    unused child of b with its (colour, key) whose sub-object matches too,
+    which is exact on ties as `_Search.match` shows. At full rank every
+    completion of a pinned alignment is the same Q, and below full rank
+    `orientation_ok` is True, so one yield per pinned state suffices. Float
+    mode keeps the generic search.
     """
     matcher = GramMatcher(ctx, dim, proper)
-    return any(matcher.orientation_ok() for _ in _align(a, b, matcher))
+    s = _Search(matcher, -1 if matcher.basis is None else len(a.span))
+    return any(matcher.orientation_ok() for _ in _align(a, b, s))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -61,6 +62,17 @@ def connected_pair(seed, n_max=5, mode="exact", dims=(2, 3)):
     if mode == "float":
         r2 = r2 * (1 + 1e-12)
     return with_cutoff_sq(c1, r2), with_cutoff_sq(c2, r2)
+
+
+def grid(a, b, c):
+    """The exact a x b x c integer grid, edges between points at distance 1."""
+    points = list(itertools.product(range(a), range(b), range(c)))
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(points)), 2)
+        if sum((x - y) ** 2 for x, y in zip(points[i], points[j])) == 1
+    ]
+    return exact_graph(points, edges)
 
 
 def unit_edge_tree(seed, n=6):

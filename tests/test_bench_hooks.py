@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import grid
+
 from geowl import GroupSpec, apply_isometry, gen_kchain, gen_random_cloud, random_isometry, run_gwl
 from geowl.cli import main
 from geowl.generators import mst_bottleneck_sq, with_cutoff_sq
@@ -44,6 +46,26 @@ def test_traced_gwl_records_orbit_search(tracing):
     assert metrics["registry.skeleton.s"] > 0
     assert metrics["registry.norm_profile.s"] > 0
     assert tracing._dot_cache_size() > 0
+
+
+def test_traced_gwl_on_a_pinned_pair_keeps_every_metric(tracing):
+    # the grid's map is pinned after a few pushes and the rest is matched by
+    # keys, so pushes fall sharply; they must not fall to zero, or the
+    # push ratios would divide by zero and read as null
+    g = grid(3, 2, 2)
+    copy = apply_isometry(g, random_isometry(g.n, 3, 5, proper=True))
+    tracing.clear_caches()
+    tracer = tracing.Tracer(0)
+    tracer.install()
+    try:
+        verdict, _ = run_gwl(g, copy, GroupSpec("SO", 3))
+    finally:
+        tracer.uninstall()
+    assert not verdict.distinguished
+    metrics = tracer.metrics(fragile_warnings=0)
+    assert [name for name, value in metrics.items() if value is None] == []
+    assert metrics["linalg.push.calls"] > 0
+    assert metrics["objects.orbit_equal.calls"] > 0
 
 
 def test_traced_cli_metrics_are_finite_numbers(tracing, tmp_path, capsys):

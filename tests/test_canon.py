@@ -241,3 +241,35 @@ def test_deep_object_search_runs_under_the_default_recursion_limit():
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(old)
+
+
+def coincident_pair():
+    """A 3D object whose first three children span the space, so the map
+    is pinned before the last two. Those two share colour and rel but carry
+    different sub-objects. Returns it, its rotated image with those two
+    children swapped, and the rotation."""
+    axes = (f(1, 0, 0), f(0, 1, 0), f(0, 0, 1))
+    spanning = [Child(c, Leaf(c, ()), r) for c, r in zip((1, 2, 3), axes)]
+    twins = [Child(5, Leaf(5, (v,)), f(1, 1, 0)) for v in (f(1, 0, 0), f(0, 1, 2))]
+    a = Node(0, Leaf(0, ()), tuple(spanning + twins))
+    q = random_isometry(1, 3, seed=8, proper=True).matrix
+    image = rotate_obj(a, q)
+    return a, Node(0, image.obj, image.children[:3] + image.children[:2:-1]), q
+
+
+@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
+def test_coincident_children_with_different_sub_objects(grp):
+    # under the pinned map, the first partner with the right (colour, key)
+    # carries the wrong sub-object; the search must go on to the next one
+    a, b, q = coincident_pair()
+    assert b.children[3].obj != rotate_obj(a.children[3].obj, q)
+    assert orbit_equal(a, b, CTX, grp.dim, grp.proper)
+    assert orbit_equal(b, a, CTX, grp.dim, grp.proper)
+    # one level down, where the pinned check recurses into sub-objects
+    rels = (f(2, 0, 0), f(0, 2, 0), f(0, 0, 2))
+    outer_a = Node(9, a, tuple(Child(9, a, r) for r in rels))
+    outer_b = Node(9, b, tuple(Child(9, b, matvec(q, r)) for r in rels))
+    assert orbit_equal(outer_a, outer_b, CTX, grp.dim, grp.proper)
+    # a twin whose sub-object matches neither is still rejected
+    odd = Child(5, Leaf(5, (f(2, 1, 0),)), b.children[4].rel)
+    assert not orbit_equal(a, Node(0, b.obj, b.children[:4] + (odd,)), CTX, grp.dim, grp.proper)

@@ -227,6 +227,28 @@ def test_gen_error_leaves_no_directory(tmp_path, capsys, argv, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "family", [["kchain", "--k", "3"], ["lfold", "--L", "3"]], ids=["kchain", "lfold"]
+)
+def test_gen_unwritable_out_is_input_error(tmp_path, capsys, family):
+    # --out names an existing regular file: one error line naming it, exit 3
+    out = tmp_path / "afile"
+    out.write_text("keep me\n")
+    assert main(["gen", *family, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert out.read_text() == "keep me\n"
+
+
+def test_gen_unwritable_file_in_out_is_input_error(tmp_path, capsys):
+    (tmp_path / "kchain_k3_b.json").mkdir()
+    assert main(["gen", "kchain", "--k", "3", "--out", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "kchain_k3_b.json" in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 

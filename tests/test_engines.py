@@ -1,10 +1,11 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import connected_pair, exact_graph, float_graph
+from conftest import connected_pair, exact_graph, float_graph, grid
 
 from geowl import (
     GroupSpec,
@@ -120,6 +121,53 @@ def test_gwl_isometric_copy_identical_histograms(so3):
     assert not verdict.distinguished
     for row in trace.rows:
         assert row.histogram_1 == row.histogram_2
+
+
+@pytest.mark.parametrize("variant", ["O", "SO"])
+def test_gwl_never_separates_coincident_nodes_from_a_copy(variant):
+    # nodes 4 and 5 sit at one point, both next to node 0, but see different
+    # further neighbours (6 and 7): under a pinned map, node 0's two children
+    # there share (colour, key) and differ in their sub-objects
+    positions = [
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 1), (2, 1, 1), (1, 1, 2)
+    ]
+    g = exact_graph(positions, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (4, 6), (5, 7)])
+    for seed in range(6):
+        copy = apply_isometry(g, random_isometry(g.n, 3, seed, proper=True))
+        verdict, _ = run_gwl(g, copy, GroupSpec(variant, 3))
+        assert not verdict.distinguished, seed
+
+
+# Pairs on which the exact orbit search used to blow up (minutes at the
+# least); once the map is pinned they take well under a second.
+
+
+def sq_distances(g):
+    return sorted(
+        sum((x - y) ** 2 for x, y in zip(p, q)) for p, q in itertools.combinations(g.positions, 2)
+    )
+
+
+def test_gwl_symmetric_grid_against_a_copy(so3):
+    g = grid(3, 3, 3)
+    copy = apply_isometry(g, random_isometry(g.n, 3, 5, proper=True))
+    verdict, _ = run_gwl(g, copy, so3)
+    assert not verdict.distinguished
+    # one coordinate moved: the squared-distance multisets differ, which
+    # certifies non-congruence without the engine
+    first = copy.positions[0]
+    moved = replace(copy, positions=((first[0] + 1,) + first[1:],) + copy.positions[1:])
+    assert sq_distances(g) != sq_distances(moved)
+    verdict, _ = run_gwl(g, moved, so3)
+    assert verdict.distinguished
+
+
+def test_gwl_dense_cutoff_cloud_against_a_copy(so3):
+    cloud = gen_random_cloud(24, 3, 1)
+    g = with_cutoff_sq(cloud, 2 * mst_bottleneck_sq(cloud.positions))
+    copy = apply_isometry(g, random_isometry(g.n, 3, 1, proper=True))
+    verdict, _ = run_gwl(g, copy, so3)
+    assert not verdict.distinguished
 
 
 def test_gwl_triangles_vs_hexagon_first_iteration(o2):

@@ -1,6 +1,8 @@
 """Generated (hypothesis) checks of the contracts every engine must keep:
 orbit colours are invariant under isometries, isometric copies are never
-separated, and a separating verdict is always confirmed by the oracle."""
+separated, a separating verdict is always confirmed by the oracle, and the
+exact orbit search agrees with the float one."""
+import itertools
 from fractions import Fraction
 
 from conftest import connected_cutoff
@@ -18,13 +20,15 @@ from geowl import (
     gen_random_cloud,
     geometric_graph,
     geometric_isomorphism_oracle,
+    orbit_equal,
     random_isometry,
     run_gwl,
     run_igwl,
     run_igwl_k,
     run_wl,
 )
-from geowl.numeric import exact_context
+from geowl.linalg import matvec
+from geowl.numeric import exact_context, float_context
 from geowl.objects import norm_profile, skeleton
 
 # derandomized so that a run of the unit tests is reproducible
@@ -49,6 +53,62 @@ def objects(draw, d, depth):
         )
     )
     return Node(colour, draw(objects(d, depth - 1)), tuple(children))
+
+
+def transformed(obj, vec, shuffle=tuple):
+    """obj with every vector mapped by vec, in depth-first order (centre
+    before children, a child's object before its rel), and every bag of
+    children reordered by shuffle."""
+    if isinstance(obj, Leaf):
+        return Leaf(obj.colour, tuple(vec(v) for v in obj.vectors))
+    centre = transformed(obj.obj, vec, shuffle)
+    children = [Child(c.colour, transformed(c.obj, vec, shuffle), vec(c.rel)) for c in obj.children]
+    return Node(obj.colour, centre, tuple(shuffle(children)))
+
+
+def vector_count(obj) -> int:
+    if isinstance(obj, Leaf):
+        return len(obj.vectors)
+    return vector_count(obj.obj) + sum(1 + vector_count(c.obj) for c in obj.children)
+
+
+@st.composite
+def partners(draw, a, d):
+    """An object to compare with a: its image under a signed permutation of
+    the axes with every bag of children shuffled, that image with one
+    coordinate moved, or an independent draw."""
+    kind = draw(st.sampled_from(["image", "moved", "independent"]))
+    if kind == "independent":
+        return draw(objects(d, draw(st.integers(0, 2))))
+    axes = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d))
+    q = tuple(tuple(signs[r] if c == axes[r] else 0 for c in range(d)) for r in range(d))
+    moved = -1
+    if kind == "moved" and vector_count(a):
+        moved = draw(st.integers(0, vector_count(a) - 1))
+        coord, value = draw(st.integers(0, d - 1)), Fraction(draw(st.integers(-2, 2)))
+    counter = itertools.count()
+
+    def vec(v):
+        w = matvec(q, v)
+        if next(counter) == moved:
+            w = w[:coord] + (value,) + w[coord + 1 :]
+        return w
+
+    return transformed(a, vec, lambda children: draw(st.permutations(children)))
+
+
+# enough draws for ties between coincident children to decide some pairs
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([2, 3]), st.integers(1, 2), st.booleans())
+def test_exact_orbit_equal_matches_float_search(data, d, depth, proper):
+    # every dot of coordinates in [-2, 2] is exact in float, so the float
+    # search, which never pins, must reach the exact search's answer
+    a = data.draw(objects(d, depth))
+    b = data.draw(partners(a, d))
+    floats = [transformed(x, lambda v: tuple(float(c) for c in v)) for x in (a, b)]
+    exact = orbit_equal(a, b, exact_context(), d, proper)
+    assert exact == orbit_equal(*floats, float_context(), d, proper)
 
 
 @SETTINGS
