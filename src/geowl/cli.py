@@ -8,7 +8,9 @@ shell scripts can compare engines without parsing output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -43,8 +45,8 @@ def _tolerance_default() -> float:
         eps = float(raw)
     except ValueError:
         raise CliInputError(f"{TOLERANCE_ENV} is not a number: {raw!r}")
-    if eps <= 0:
-        raise CliInputError(f"{TOLERANCE_ENV} must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise CliInputError(f"{TOLERANCE_ENV} must be a positive finite number")
     return eps
 
 
@@ -245,7 +247,17 @@ def cmd_so2(args) -> int:
     return EXIT_DIFFERENT if verdict.distinguished else EXIT_SAME
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `geowl` parser, built on the first call and shared by every later one.
+
+    Building it costs more than most verdicts, so `main` reuses one parser
+    per process. Sharing is safe: it is built from constants only (every
+    `--tolerance` defaults to None, and `main` reads GWLKIT_TOLERANCE on
+    each call), no default is a mutable object, argparse writes each
+    parse into a fresh Namespace, and help width is read when help is
+    printed. The memo holds this one object and never grows.
+    """
     parser = argparse.ArgumentParser(
         prog="geowl",
         description="Discriminate geometric graphs with WL-style refinement tests.",
@@ -274,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", help="engine verdict grids for the synthetic families")
     t.add_argument("which", choices=["kchains", "lfold-invariance"])
-    t.add_argument("--range", type=int, nargs=2, default=[2, 8], metavar=("LO", "HI"))
+    t.add_argument("--range", type=int, nargs=2, default=(2, 8), metavar=("LO", "HI"))
 
     p = sub.add_parser("props", help="geometric property report for one graph")
     p.add_argument("graph")

@@ -41,8 +41,8 @@ class NumericContext:
     def __post_init__(self):
         if self.mode not in (EXACT, FLOAT):
             raise NumericError(f"unknown numeric mode: {self.mode!r}")
-        if self.eps <= 0:
-            raise NumericError("tolerance must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise NumericError("tolerance must be a positive finite number")
 
     def coerce(self, value) -> Number:
         """Bring a raw component into this context's payload type."""

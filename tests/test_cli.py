@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -10,7 +11,9 @@ import pytest
 
 import geowl
 from geowl import gen_kchain, gen_random_cloud, apply_isometry, random_isometry
-from geowl.cli import EXIT_CAP, EXIT_DIFFERENT, EXIT_INPUT, EXIT_SAME, EXIT_USAGE, main
+from geowl.cli import (
+    EXIT_CAP, EXIT_DIFFERENT, EXIT_INPUT, EXIT_SAME, EXIT_USAGE, build_parser, main,
+)
 from geowl.graph import dump_graph
 
 
@@ -352,6 +355,79 @@ def test_tolerance_env_var(tmp_path, capsys, monkeypatch):
     loose = main(["distinguish", str(g1d), str(b), "--test", "gwl"])
     assert loose == EXIT_SAME
     assert strict == EXIT_DIFFERENT
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("cmd", ["distinguish", "iso", "props"])
+def test_non_finite_tolerance_is_input_error(input_files, capsys, monkeypatch, cmd, source, value):
+    # a NaN band makes a float graph differ from itself; an infinite one
+    # makes every pair of values equal
+    f = input_files["float"]
+    argv = [cmd, f] if cmd == "props" else [cmd, f, f]
+    if source == "flag":
+        argv.append(f"--tolerance={value}")  # "--tolerance -inf" reads -inf as an option
+    else:
+        monkeypatch.setenv("GWLKIT_TOLERANCE", value)
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "must be a positive finite number" in captured.err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_parser_defaults_are_immutable():
+    # the parser is shared by every main() call, and argparse hands a
+    # default object to each Namespace as is
+    for parser in _parsers(build_parser()):
+        for action in parser._actions:
+            assert not isinstance(action.default, (list, dict, set)), (parser.prog, action.dest)
+
+
+def test_main_calls_share_no_state(kchain_files, capsys):
+    a, b = kchain_files
+    valid = ["distinguish", a, b, "--test", "gwl"]
+    assert main(["frobnicate"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(valid) == EXIT_DIFFERENT
+    first = capsys.readouterr().out
+    assert first.startswith("test: gwl  group: O(3)\nverdict: distinguished at iteration 3\n")
+    assert main(["distinguish", a, b, "--test", "igwl-k"]) == EXIT_USAGE
+    assert "--test igwl-k requires --k" in capsys.readouterr().err
+    assert main(valid) == EXIT_DIFFERENT
+    assert capsys.readouterr().out == first
+
+
+def test_help_twice_is_identical(capsys):
+    assert main(["--help"]) == 0
+    first = capsys.readouterr().out
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out == first
+    assert first.startswith("usage: geowl")
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import geowl.cli as c; n = c.build_parser.cache_info().currsize; "
+        "c.main(['frobnicate']); print(n, c.build_parser.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(geowl.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert done.stdout.split() == ["0", "1"]
 
 
 def _exit_code(cmd, **kwargs):

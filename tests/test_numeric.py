@@ -71,3 +71,10 @@ def test_mode_validation():
         NumericContext("decimal", 1e-9)
     with pytest.raises(NumericError):
         NumericContext("float", 0.0)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+def test_tolerance_must_be_finite(mode, eps):
+    with pytest.raises(NumericError, match="positive finite number"):
+        NumericContext(mode, eps)
