@@ -126,14 +126,12 @@ def cmd_gen(args) -> int:
     elif args.family == "onehop":
         g1, g2, spec = generators.gen_onehop_identical_pair()
         stem = "onehop_identical"
-    elif args.family == "lfold":
+    else:  # lfold
         if args.L is None or args.L < 2:
             raise CliUsageError("lfold requires --L >= 2")
         g = generators.gen_lfold(args.L, args.alpha)
         print(*_save(out, [(f"lfold_L{args.L}.json", g)]))
         return EXIT_SAME
-    else:
-        raise CliUsageError(f"unknown family {args.family!r}")
     # only now that the graphs exist: a bad argument leaves no directory
     files = [(f"{stem}_a.json", g1), (f"{stem}_b.json", g2), (f"{stem}_pair.json", spec.to_dict())]
     for p in _save(out, files):
@@ -168,20 +166,16 @@ def cmd_table(args) -> int:
                     verdict, _ = runner(b)
                     cells.append(f"{b}:{_verdict_word(verdict)}")
                 lines.append(f"| {k} | {name} | " + ", ".join(cells) + " |")
-    elif args.which == "lfold-invariance":
+    else:  # lfold-invariance
         lines.append("| L | rotated copies under GWL/SO(2) |")
         lines.append("|---|--------------------------------|")
-        import math as _math
-
         for L in range(lo, hi + 1):
             ga = generators.gen_lfold(L, 0.0)
-            gb = generators.gen_lfold(L, _math.pi / L)
+            gb = generators.gen_lfold(L, math.pi / L)
             if ga.ctx.mode != gb.ctx.mode:
                 ga = generators.gen_lfold(L, 1e-12)  # force float on both sides
             verdict, _ = engines.run_gwl(ga, gb, GroupSpec("SO", 2))
             lines.append(f"| {L} | {_verdict_word(verdict)} |")
-    else:
-        raise CliInputError(f"unknown table {args.which!r}")
     lines.append("")
     lines.append("Accuracy columns for trained models: out of scope: trained models.")
     print("\n".join(lines))
@@ -319,9 +313,6 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
-    try:
         if getattr(args, "tolerance", None) is None and hasattr(args, "tolerance"):
             args.tolerance = _tolerance_default()
         if args.cmd == "distinguish":
@@ -338,10 +329,8 @@ def main(argv: Optional[list] = None) -> int:
             return cmd_props(args)
         if args.cmd == "iso":
             return cmd_iso(args)
-        if args.cmd == "so2":
-            return cmd_so2(args)
-        return EXIT_USAGE
-    except SystemExit as exc:  # parser.error inside command dispatch
+        return cmd_so2(args)  # argparse admits no other subcommand
+    except SystemExit as exc:  # argparse: --help, bad usage, parser.error
         return EXIT_USAGE if exc.code not in (0,) else 0
     except OracleCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

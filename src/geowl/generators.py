@@ -6,22 +6,25 @@ graphs fit under its cap.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .graph import (
     GeometricGraph,
     GraphFormatError,
     GroupSpec,
     IsometryWitness,
+    apply_isometry,
     build_radial_graph,
     geometric_graph,
     graph_from_dict,
+    identity_witness,
+    read_json,
 )
+from .linalg import norm_sq, vsub
 from .numeric import EXACT, FLOAT
 from .oracle import DEFAULT_CAP, geometric_isomorphism_oracle
 
@@ -92,43 +95,26 @@ def gen_kchain(k: int) -> Tuple[GeometricGraph, GeometricGraph, PairSpec]:
     return g1, g2, spec
 
 
-def gen_lfold(L: int, alpha: float = 0.0, arms: Optional[int] = None) -> GeometricGraph:
-    """A star of `arms` unit-circle nodes at angles alpha + 2*pi*m/L around
-    a centre node at the origin; with arms == L the position multiset is
-    invariant under rotation by 2*pi/L.
+def gen_lfold(L: int, alpha: float = 0.0) -> GeometricGraph:
+    """A star of L unit-circle nodes at angles alpha + 2*pi*m/L around a
+    centre node at the origin; the position multiset is invariant under
+    rotation by 2*pi/L.
 
     Exact coordinates when the angles are axis-aligned (L in {1, 2, 4} and
     alpha == 0); float mode otherwise.
     """
     if L < 1:
         raise ValueError("L must be at least 1")
-    if arms is None:
-        arms = L
-    exact = L in (1, 2, 4) and alpha == 0
-    pts: List[tuple] = []
-    if exact:
-        pts.append(((0,), (), (Fraction(0), Fraction(0))))
+    if L in (1, 2, 4) and alpha == 0:
         axis = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-        step = 4 // L
-        for m in range(arms):
-            x, y = axis[(m * step) % 4]
-            pts.append(((1,), (), (Fraction(x), Fraction(y))))
+        positions = [(0, 0)] + [axis[m * (4 // L)] for m in range(L)]
         mode = EXACT
     else:
-        pts.append(((0,), (), (0.0, 0.0)))
-        for m in range(arms):
-            a = alpha + 2 * math.pi * m / L
-            pts.append(((1,), (), (math.cos(a), math.sin(a))))
+        angles = [alpha + 2 * math.pi * m / L for m in range(L)]
+        positions = [(0.0, 0.0)] + [(math.cos(a), math.sin(a)) for a in angles]
         mode = FLOAT
-    edges = [(0, m + 1) for m in range(arms)]
-    return geometric_graph(
-        2,
-        [p[2] for p in pts],
-        edges,
-        [p[0] for p in pts],
-        [p[1] for p in pts],
-        mode=mode,
-    )
+    edges = [(0, m + 1) for m in range(L)]
+    return geometric_graph(2, positions, edges, [(0,)] + [(1,)] * L, mode=mode)
 
 
 def gen_triangles_vs_hexagon() -> Tuple[GeometricGraph, GeometricGraph, PairSpec]:
@@ -162,13 +148,10 @@ def gen_onehop_identical_pair() -> Tuple[GeometricGraph, GeometricGraph, PairSpe
     agree up to O(3): the k=2 chain pair under a fixed relabelling."""
     g1, g2, _ = gen_kchain(2)
     perm = (2, 0, 3, 1)  # fixed relabelling; no structural significance
-    from .graph import identity_witness
 
     def relabel(g: GeometricGraph) -> GeometricGraph:
         w = identity_witness(g)
         return IsometryWitness(perm, w.matrix, w.translation)
-
-    from .graph import apply_isometry
 
     g1p = apply_isometry(g1, relabel(g1))
     g2p = apply_isometry(g2, relabel(g2))
@@ -186,37 +169,24 @@ def _random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
 
 
-def gen_random_cloud(
-    n: int,
-    d: int,
-    seed: int,
-    mode: str = EXACT,
-    cutoff=None,
-) -> GeometricGraph:
-    """Seed-reproducible point cloud; radial-cutoff edges when requested."""
+def gen_random_cloud(n: int, d: int, seed: int, mode: str = EXACT) -> GeometricGraph:
+    """Seed-reproducible edgeless point cloud with uniform scalars."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if d not in (1, 2, 3):
         raise ValueError("d must be 1, 2 or 3")
     rng = random.Random(("cloud", n, d, seed).__repr__())
-    pts = []
-    for _ in range(n):
-        if mode == EXACT:
-            x = tuple(_random_fraction(rng) for _ in range(d))
-        else:
-            x = tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
-        pts.append(((0,), (), x))
-    if cutoff is not None:
-        return build_radial_graph(pts, cutoff, mode=mode)
-    return geometric_graph(d, [p[2] for p in pts], (), [p[0] for p in pts], mode=mode)
+    if mode == EXACT:
+        positions = [tuple(_random_fraction(rng) for _ in range(d)) for _ in range(n)]
+    else:
+        positions = [tuple(rng.uniform(-1.0, 1.0) for _ in range(d)) for _ in range(n)]
+    return geometric_graph(d, positions, (), [(0,)] * n, mode=mode)
 
 
 def mst_bottleneck_sq(positions):
     """Squared length of the longest edge of a minimum spanning tree over
     the complete distance graph: the smallest squared cutoff that keeps a
     radial-cutoff graph on these points connected."""
-    from .linalg import norm_sq, vsub
-
     n = len(positions)
     if n <= 1:
         return None
@@ -231,32 +201,6 @@ def mst_bottleneck_sq(positions):
             if d2 < dist[u]:
                 dist[u] = d2
     return best
-
-
-def with_cutoff_sq(g: GeometricGraph, r_sq) -> GeometricGraph:
-    """The same cloud re-edged by squared radial cutoff (d^2 <= r_sq).
-
-    Taking the squared radius directly avoids the square root that
-    build_radial_graph's linear radius would force out of the rationals.
-    """
-    from .linalg import norm_sq, vsub
-
-    edges = [
-        (i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if g.ctx.le(norm_sq(vsub(g.positions[i], g.positions[j])), r_sq)
-        and not g.ctx.is_zero(norm_sq(vsub(g.positions[i], g.positions[j])))
-    ]
-    return geometric_graph(
-        g.dim,
-        g.positions,
-        edges,
-        g.scalars,
-        g.vectors,
-        mode=g.ctx.mode,
-        eps=g.ctx.eps,
-    )
 
 
 def _pythagorean_rotation(rng: random.Random) -> Tuple[Fraction, Fraction]:
@@ -302,13 +246,7 @@ def load_counterexample(path: str) -> Tuple[GeometricGraph, GeometricGraph, Pair
     The relation is 'unknown' unless the pair fits under the oracle cap,
     in which case it is decided on the spot.
     """
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+    data = read_json(path)
     if not isinstance(data, list) or len(data) != 2:
         raise GraphFormatError(f"{path}: expected a JSON array of exactly two graphs")
     g1 = graph_from_dict(data[0])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -102,10 +102,9 @@ class GeometricGraph:
             for v in vs:
                 if len(v) != self.dim:
                     raise GraphError("vector feature dimension mismatch")
-        for e in self.edges:
-            i, j = e
+        for i, j in self.edges:
             if not (0 <= i < j < n):
-                raise GraphError(f"bad edge {e!r}")
+                raise GraphError(f"edge ({i}, {j}) out of range")
         nbrs: List[List[int]] = [[] for _ in range(n)]
         for i, j in self.edges:
             nbrs[i].append(j)
@@ -163,17 +162,13 @@ class GeometricGraph:
         return dist
 
 
-def _normalise_edges(edges, n: int) -> frozenset:
+def _normalise_edges(edges) -> frozenset:
     out = set()
     for i, j in edges:
         if i == j:
             raise GraphError("self-loops are not allowed")
         out.add((min(i, j), max(i, j)))
-    fs = frozenset(out)
-    for i, j in fs:
-        if not (0 <= i < j < n):
-            raise GraphError(f"edge ({i}, {j}) out of range")
-    return fs
+    return frozenset(out)
 
 
 def geometric_graph(
@@ -207,7 +202,7 @@ def geometric_graph(
         scalars=scal,
         vectors=vecs,
         positions=pos,
-        edges=_normalise_edges(edges, n),
+        edges=_normalise_edges(edges),
     )
 
 
@@ -215,48 +210,51 @@ def build_radial_graph(points, r, mode: Optional[str] = None, eps: float = DEFAU
     """Connect every pair at (positive) distance <= r.
 
     points: sequence of (scalars, vectors, position) triples; vectors may be
-    None. Distances are compared squared, which keeps exact mode exact.
-    Coincident points are legal but yield no edge; they are flagged with a
-    warning because that consequence is easy to miss.
+    None. Coincident points are legal but yield no edge; they are flagged
+    with a warning because that consequence is easy to miss.
     """
     if not points:
         raise GraphError("at least one point is required")
-    scalars = [tuple(p[0]) for p in points]
-    vectors = [p[1] or () for p in points]
     positions = [tuple(p[2]) for p in points]
     dim = len(positions[0])
     if any(len(x) != dim for x in positions):
         raise GraphError("all points must share one spatial dimension")
-    g0 = geometric_graph(dim, positions, (), scalars, vectors, mode=mode, eps=eps)
-    ctx = g0.ctx
+    g = geometric_graph(
+        dim, positions, (), [tuple(p[0]) for p in points], [p[1] or () for p in points],
+        mode=mode, eps=eps,
+    )
+    ctx = g.ctx
     r = ctx.coerce(r)
     if not ctx.lt(0, r):
         raise GraphError("cutoff radius must be positive")
-    r2 = r * r
-    edges = []
-    coincident = False
-    for i in range(g0.n):
-        for j in range(i + 1, g0.n):
-            d2 = linalg.norm_sq(g0.rel_vec(i, j))
-            if ctx.is_zero(d2):
-                coincident = True
-                continue
-            if ctx.le(d2, r2):
-                edges.append((i, j))
-    if coincident:
+    if any(
+        ctx.is_zero(linalg.norm_sq(g.rel_vec(i, j))) for i in range(g.n) for j in range(i + 1, g.n)
+    ):
         warnings.warn(
             "coincident points in radial-cutoff input: distance 0 produces no edge",
             CoincidentPointsWarning,
             stacklevel=2,
         )
-    return GeometricGraph(
-        dim=g0.dim,
-        ctx=g0.ctx,
-        scalars=g0.scalars,
-        vectors=g0.vectors,
-        positions=g0.positions,
-        edges=frozenset(edges),
+    return with_cutoff_sq(g, r * r)
+
+
+def with_cutoff_sq(g: GeometricGraph, r_sq) -> GeometricGraph:
+    """The same graph re-edged by squared radial cutoff: i ~ j iff
+    0 < |x_i - x_j|^2 <= r_sq.
+
+    Distances are compared squared, which keeps exact mode exact; taking
+    the squared radius directly also admits cutoffs whose root is
+    irrational. Coincident points get no edge and no warning here.
+    """
+    ctx = g.ctx
+    edges = frozenset(
+        (i, j)
+        for i in range(g.n)
+        for j in range(i + 1, g.n)
+        for d2 in (linalg.norm_sq(g.rel_vec(i, j)),)
+        if ctx.le(d2, r_sq) and not ctx.is_zero(d2)
     )
+    return replace(g, edges=edges)
 
 
 def _witness_is_exact(w: IsometryWitness) -> bool:
@@ -333,7 +331,7 @@ def induced_subgraph(g: GeometricGraph, nodes: Sequence[int]) -> GeometricGraph:
         scalars=tuple(g.scalars[v] for v in nodes),
         vectors=tuple(g.vectors[v] for v in nodes),
         positions=tuple(g.positions[v] for v in nodes),
-        edges=_normalise_edges(edges, len(nodes)),
+        edges=_normalise_edges(edges),
     )
 
 
@@ -452,7 +450,9 @@ def dump_graph(g: GeometricGraph, path: str) -> None:
         fh.write("\n")
 
 
-def load_graph(path: str, eps: float = DEFAULT_EPS) -> GeometricGraph:
+def read_json(path: str):
+    """Decode the UTF-8 JSON file at path; undecodable bytes and invalid
+    JSON raise GraphFormatError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -461,9 +461,12 @@ def load_graph(path: str, eps: float = DEFAULT_EPS) -> GeometricGraph:
             f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
         ) from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return graph_from_dict(data, eps=eps)
+
+
+def load_graph(path: str, eps: float = DEFAULT_EPS) -> GeometricGraph:
+    return graph_from_dict(read_json(path), eps=eps)

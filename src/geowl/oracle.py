@@ -17,6 +17,7 @@ from .graph import (
     GroupSpec,
     IsometryWitness,
     ModeMismatchError,
+    identity_witness,
 )
 from .properties import centroid
 from .registry import OrbitRegistry
@@ -66,8 +67,6 @@ def geometric_isomorphism_oracle(
     n = g1.n
     ctx = g1.ctx
     if n == 0:
-        from .graph import identity_witness
-
         return True, identity_witness(g1)
     if Counter(g1.scalars) != Counter(g2.scalars):
         return False, None

@@ -94,6 +94,11 @@ def _candidate_angles(ref_set, target_set, eps: float) -> List[float]:
     return sorted(out)
 
 
+def _all_zero(pts, eps: float) -> bool:
+    """True when every point lies within eps of the origin (and for no points)."""
+    return all(abs(p[0]) <= eps and abs(p[1]) <= eps for p in pts)
+
+
 def stabilizer_order(X, eps: float = DEFAULT_EPS) -> StabilizerInfo:
     """Order of the cyclic group of rotations fixing the multiset X.
 
@@ -105,7 +110,7 @@ def stabilizer_order(X, eps: float = DEFAULT_EPS) -> StabilizerInfo:
     pts = _as_float_points(X)
     if not pts:
         raise ValueError("the multiset must be non-empty")
-    if all(abs(p[0]) <= eps and abs(p[1]) <= eps for p in pts):
+    if _all_zero(pts, eps):
         return StabilizerInfo(order=None, theta=None)
     count = 0
     for a in _candidate_angles(pts, pts, eps):
@@ -137,7 +142,7 @@ def so2_hash(X, reg: OrbitRegistry) -> So2Hash:
     code = reg.intern_orbit(_wrap_multiset(pts))
     rep = [c.rel for c in reg.representative(code).children]
     norm = 1.0 + code
-    if not pts or stabilizer_order(pts, eps).continuous:
+    if _all_zero(pts, eps):
         stab = StabilizerInfo(order=None, theta=None)
         phi = 0.0
     else:
@@ -187,7 +192,7 @@ def run_so2_gwl(
         for v in range(g.n):
             edge_msgs = []
             for u in g.neighbors(v):
-                h = so2_hash([_as_float_points([g.rel_vec(v, u)])[0]], reg)
+                h = so2_hash([g.rel_vec(v, u)], reg)
                 factor = 1.0 + col(("m0", c[v], c[u], h.orbit_code))
                 edge_msgs.append((factor * h.vector[0] / h.norm, factor * h.vector[1] / h.norm))
             state.append(edge_msgs)

@@ -12,7 +12,8 @@ from geowl import (
     geometric_graph,
     random_isometry,
 )
-from geowl.generators import mst_bottleneck_sq, with_cutoff_sq
+from geowl.generators import mst_bottleneck_sq
+from geowl.graph import with_cutoff_sq
 
 
 def exact_graph(positions, edges=(), scalars=None, vectors=None):

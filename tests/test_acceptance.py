@@ -36,7 +36,8 @@ from geowl import (
     so2_hash,
     so2_registry,
 )
-from geowl.generators import mst_bottleneck_sq, with_cutoff_sq
+from geowl.generators import mst_bottleneck_sq
+from geowl.graph import with_cutoff_sq
 
 O2, O3, SO2, SO3 = GroupSpec("O", 2), GroupSpec("O", 3), GroupSpec("SO", 2), GroupSpec("SO", 3)
 

@@ -11,8 +11,8 @@ from conftest import grid
 
 from geowl import GroupSpec, apply_isometry, gen_kchain, gen_random_cloud, random_isometry, run_gwl
 from geowl.cli import main
-from geowl.generators import mst_bottleneck_sq, with_cutoff_sq
-from geowl.graph import dump_graph
+from geowl.generators import mst_bottleneck_sq
+from geowl.graph import dump_graph, with_cutoff_sq
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 

@@ -88,6 +88,18 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("edge", [[-1, 0], [0, 5]])
+def test_edge_out_of_range_is_input_error(tmp_path, capsys, edge):
+    path = tmp_path / "edge.json"
+    data = {"dim": 2, "numeric": "exact", "nodes": [{"x": [0, 0]}, {"x": [1, 0]}], "edges": [edge]}
+    path.write_text(json.dumps(data))
+    assert main(["distinguish", str(path), str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "out of range" in captured.err
+
+
 def _float_pair_file(tmp_path, bad):
     data = {
         "dim": 2,

@@ -22,8 +22,8 @@ from geowl import (
     run_wl,
 )
 from geowl.engines import HISTOGRAMS_DIFFER, MAX_ITERS, PARTITION_STABLE, report_dict
-from geowl.generators import mst_bottleneck_sq, with_cutoff_sq
-from geowl.graph import ModeMismatchError
+from geowl.generators import mst_bottleneck_sq
+from geowl.graph import ModeMismatchError, with_cutoff_sq
 from geowl.linalg import GramMatcher
 from geowl.registry import OrbitRegistry
 

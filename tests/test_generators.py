@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import rotation_2d
 
+import geowl
 from geowl import (
     GroupSpec,
     apply_isometry,
@@ -22,9 +27,8 @@ from geowl.generators import (
     ISOMORPHIC,
     NON_ISOMORPHIC,
     mst_bottleneck_sq,
-    with_cutoff_sq,
 )
-from geowl.graph import GraphFormatError, dump_graph, graph_to_dict
+from geowl.graph import GraphFormatError, dump_graph, graph_to_dict, with_cutoff_sq
 from geowl.linalg import norm_sq
 
 
@@ -162,3 +166,40 @@ def test_load_counterexample_malformed(tmp_path):
     path.write_text('[{"dim": 2,\n  "broken"')
     with pytest.raises(GraphFormatError, match="line 2"):
         load_counterexample(str(path))
+
+
+def test_load_counterexample_not_utf8_names_path(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_bytes(b'[{"dim": 2, "numeric": "exact\xff"}]')
+    with pytest.raises(GraphFormatError) as info:
+        load_counterexample(str(path))
+    assert str(info.value) == f"{path}: not UTF-8 text (byte 0xff at offset 29)"
+
+
+def test_graph_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """Pair and graph files decode as UTF-8 whatever the locale's encoding."""
+    g1, g2, _ = gen_kchain(2)
+    data = [graph_to_dict(g1), graph_to_dict(g2)]
+    for d in data:
+        d["nodes"][0]["s"] = ["\u00e9"]
+    (tmp_path / "pair.json").write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    (tmp_path / "a.json").write_text(json.dumps(data[0], ensure_ascii=False), encoding="utf-8")
+    code = (
+        "import codecs, locale; from geowl import load_counterexample, load_graph; "
+        "a, b, _ = load_counterexample('pair.json'); "
+        "print(codecs.lookup(locale.getpreferredencoding(False)).name, "
+        "a.scalars[0] == b.scalars[0] == ('\\u00e9',), load_graph('a.json') == a)"
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(geowl.__file__).parent.parent),
+        LC_ALL="C",
+        PYTHONUTF8="0",
+        PYTHONCOERCECLOCALE="0",
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=env, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ascii", "True", "True"]

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from geowl.graph import (
     induced_subgraph,
     load_graph,
     neighborhood_subgraph,
+    with_cutoff_sq,
 )
 from geowl.numeric import NumericError
 
@@ -67,6 +69,38 @@ def test_radial_graph_coincident_points_warn_and_get_no_edge():
     with pytest.warns(CoincidentPointsWarning):
         g = build_radial_graph(pts, Fraction(1))
     assert g.edges == frozenset()
+
+
+@pytest.mark.parametrize("mode, r", [("exact", Fraction(3, 2)), ("exact", 2), ("float", 0.9)])
+@pytest.mark.parametrize("seed", range(4))
+def test_radial_graph_is_the_squared_cutoff_rule(mode, r, seed):
+    from geowl import gen_random_cloud
+
+    cloud = gen_random_cloud(7, 2 + seed % 2, seed=seed, mode=mode)
+    pts = [((k % 3,), (), x) for k, x in enumerate(cloud.positions)]
+    bare = geometric_graph(cloud.dim, cloud.positions, (), [p[0] for p in pts], mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_radial_graph(pts, r, mode=mode)
+        assert g == with_cutoff_sq(bare, r * r)
+    assert g.ctx == bare.ctx and g.positions == bare.positions
+
+
+def test_coincident_points_warn_from_radial_graph_only():
+    pts = [((0,), (), (0, 0)), ((0,), (), (1, 0)), ((0,), (), (0, 0))]
+    with pytest.warns(CoincidentPointsWarning):
+        g = build_radial_graph(pts, 1)
+    bare = geometric_graph(2, [p[2] for p in pts], (), [p[0] for p in pts], mode="exact")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert with_cutoff_sq(bare, 1) == g
+    assert g.edges == frozenset({(0, 1), (1, 2)})
+
+
+@pytest.mark.parametrize("edge", [(-1, 0), (0, 2), (1, 7)])
+def test_edge_index_out_of_range(edge):
+    with pytest.raises(GraphError, match="out of range"):
+        exact_graph([(0, 0), (1, 0)], edges=[edge])
 
 
 def test_apply_identity_is_field_by_field_equal():

@@ -129,6 +129,26 @@ def test_hash_continuous_multiset_angle_zero():
     assert h.stabilizer.continuous
 
 
+@pytest.mark.parametrize(
+    "pts, continuous",
+    [
+        ([(0.0, 0.0)], True),
+        ([(0.0, 0.0), (0.0, 0.0)], True),
+        ([(5e-10, -5e-10), (0.0, 1e-9)], True),
+        ([(0.0, 0.0), (1.0000001e-9, 0.0)], False),
+        ([(3e-9, 0.0), (0.0, -3e-9)], False),
+    ],
+)
+def test_so2_hash_continuity_matches_stabilizer(pts, continuous):
+    h = so2_hash(pts, so2_registry())
+    assert h.stabilizer.continuous == stabilizer_order(pts).continuous == continuous
+
+
+def test_so2_hash_of_empty_multiset_is_continuous():
+    h = so2_hash([], so2_registry())
+    assert h.stabilizer.continuous and h.angle == 0.0
+
+
 # --- refinement -------------------------------------------------------------
 
 
