@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import List, Optional
 
 from . import engines, generators, properties, so2
@@ -51,17 +52,22 @@ def _tolerance_default() -> float:
 
 
 def _load(path: str, eps: float) -> GeometricGraph:
+    """load_graph; each warning it raises prints as one `warning: path:` line."""
     try:
-        return load_graph(path, eps=eps)
+        with warnings.catch_warnings(record=True) as caught:
+            g = load_graph(path, eps=eps)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc.strerror}")
+    for w in caught:
+        print(f"warning: {path}: {w.message}", file=sys.stderr)
+    return g
 
 
 def cmd_distinguish(args) -> int:
     eps = args.tolerance
     g1 = _load(args.graph_a, eps)
     g2 = _load(args.graph_b, eps)
-    grp = None if args.test == "wl" else GroupSpec(args.group, g1.dim)
+    grp = None if args.test in ("wl", "so2") else GroupSpec(args.group, g1.dim)
     if args.test == "wl":
         verdict, trace = engines.run_wl(g1, g2, args.max_iters)
     elif args.test == "gwl":
@@ -229,16 +235,9 @@ def cmd_so2(args) -> int:
         else:
             print(f"stabilizer order: {info.order} (theta = {info.theta:.6f})")
         return EXIT_SAME
-    if args.so2_cmd == "hash":
-        reg = so2.so2_registry(args.tolerance)
-        h = so2.so2_hash(pts, reg)
-        print(json.dumps({"vector": list(h.vector), "norm": h.norm, "angle": h.angle}))
-        return EXIT_SAME
-    # refine: graph against a second file
-    g2 = _load(args.graph_b, args.tolerance)
-    verdict, trace = so2.run_so2_gwl(g, g2, args.max_iters)
-    print(json.dumps(engines.report_dict("so2", None, verdict, trace), indent=1))
-    return EXIT_DIFFERENT if verdict.distinguished else EXIT_SAME
+    h = so2.so2_hash(pts, so2.so2_registry(args.tolerance))  # so2_cmd == "hash"
+    print(json.dumps({"vector": list(h.vector), "norm": h.norm, "angle": h.angle}))
+    return EXIT_SAME
 
 
 @functools.cache
@@ -301,11 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp = ssub.add_parser(name)
         sp.add_argument("graph")
         add_tolerance(sp)
+    # `so2 refine a b` is `distinguish a b --test so2 --format json`
     sr = ssub.add_parser("refine")
-    sr.add_argument("graph")
+    sr.add_argument("graph_a", metavar="graph")
     sr.add_argument("graph_b")
     sr.add_argument("--max-iters", type=int, default=None)
     add_tolerance(sr)
+    sr.set_defaults(cmd="distinguish", test="so2", format="json", k=None)
     return parser
 
 

@@ -417,7 +417,7 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
             raise GraphFormatError(f"bad node {k}: {exc}") from exc
         if any(len(vec) != dim for vec in (x,) + v):
             raise GraphFormatError(f"bad node {k}: every vector must have {dim} components")
-        if not all(isinstance(t, (str, int, float)) for t in s):
+        if not all(type(t) in (str, int, float) for t in s):  # bool is an int subclass
             raise GraphFormatError(f"bad node {k}: scalars must be strings or numbers")
         points.append((s, v, x))
     if "cutoff" in data:

@@ -107,7 +107,10 @@ def infer_mode(values: Iterable) -> str:
 
 
 def parse_component(raw, mode: str) -> Number:
-    """Parse a JSON component: 'p/q' strings in exact mode, numbers otherwise."""
+    """Parse a JSON component: 'p/q' strings in exact mode, numbers otherwise.
+    JSON true/false are not numbers, although Python reads them as 1/0."""
+    if isinstance(raw, bool):
+        raise NumericError(f"component must be a number, not {str(raw).lower()}")
     if mode == EXACT:
         if isinstance(raw, str):
             try:
@@ -139,8 +142,4 @@ def format_component(value: Number, mode: str):
     if mode == EXACT:
         f = Fraction(value)
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-    return float(value)
-
-
-def as_float(value: Number) -> float:
     return float(value)

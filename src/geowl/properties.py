@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 from . import linalg
 from .graph import GeometricGraph
-from .numeric import Vec, as_float
+from .numeric import Vec
 
 
 class DegenerateGeometryError(ValueError):
@@ -35,20 +35,20 @@ class PropertyReport:
     def to_dict(self) -> dict:
         out = {
             "dim": self.dim,
-            "extents": [as_float(e) for e in self.extents],
-            "perimeter": as_float(self.perimeter),
-            "area": as_float(self.area),
-            "centroid": [as_float(c) for c in self.centroid],
+            "extents": [float(e) for e in self.extents],
+            "perimeter": float(self.perimeter),
+            "area": float(self.area),
+            "centroid": [float(c) for c in self.centroid],
             "centroid_distances": [
-                math.sqrt(as_float(d)) for d in self.centroid_sq_distances
+                math.sqrt(float(d)) for d in self.centroid_sq_distances
             ],
-            "centroid_sq_distances": [as_float(d) for d in self.centroid_sq_distances],
+            "centroid_sq_distances": [float(d) for d in self.centroid_sq_distances],
         }
         if self.volume is not None:
-            out["volume"] = as_float(self.volume)
+            out["volume"] = float(self.volume)
         if self.dihedrals:
             out["dihedrals"] = {
-                ",".join(map(str, q)): as_float(v) for q, v in self.dihedrals.items()
+                ",".join(map(str, q)): float(v) for q, v in self.dihedrals.items()
             }
         return out
 

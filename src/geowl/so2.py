@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from .engines import RefinementTrace, Verdict, _refine
+from .engines import RefinementTrace, Verdict, _default_cap, _refine
 from .graph import GeometricGraph
-from .numeric import DEFAULT_EPS, NumericContext, as_float
+from .numeric import DEFAULT_EPS, NumericContext
 from .objects import Child, Leaf, Node
 from .registry import OrbitRegistry
 
@@ -28,7 +28,10 @@ TWO_PI = 2 * math.pi
 @dataclass(frozen=True)
 class StabilizerInfo:
     order: Optional[int]  # None = continuous (the all-zero multiset)
-    theta: Optional[float]  # generator angle 2*pi/order
+
+    @property
+    def theta(self) -> Optional[float]:  # generator angle 2*pi/order
+        return None if self.order is None else TWO_PI / self.order
 
     @property
     def continuous(self) -> bool:
@@ -45,7 +48,7 @@ class So2Hash:
 
 
 def _as_float_points(X) -> List[Tuple[float, float]]:
-    pts = [tuple(as_float(c) for c in p) for p in X]
+    pts = [tuple(float(c) for c in p) for p in X]
     if any(len(p) != 2 for p in pts):
         raise ValueError("points must be 2-vectors")
     return pts
@@ -76,22 +79,25 @@ def _multisets_close(a, b, eps: float) -> bool:
     return True
 
 
-def _candidate_angles(ref_set, target_set, eps: float) -> List[float]:
-    """Angles of rotations carrying ref_set's max-norm point onto an
-    equal-norm point of target_set (the only possible symmetry angles)."""
-    norms = [math.hypot(*p) for p in ref_set]
+def _rotations(ref, target, eps: float) -> Iterator[float]:
+    """Ascending angles of the rotations carrying multiset ref onto target;
+    each takes ref's anchor (largest norm, then largest angle) onto an
+    equal-norm point of target, so only those angles are checked."""
+    norms = [math.hypot(*p) for p in ref]
     rmax = max(norms)
-    ref = max(
-        (p for p, nr in zip(ref_set, norms) if abs(nr - rmax) <= eps * max(1.0, rmax)),
+    anchor = max(
+        (p for p, nr in zip(ref, norms) if abs(nr - rmax) <= eps * max(1.0, rmax)),
         key=lambda p: math.atan2(p[1], p[0]),
     )
-    a_ref = math.atan2(ref[1], ref[0])
-    out = set()
-    for p, nr in zip(target_set, norms if target_set is ref_set else [math.hypot(*q) for q in target_set]):
-        if abs(nr - rmax) > eps * max(1.0, rmax):
-            continue
-        out.add((math.atan2(p[1], p[0]) - a_ref) % TWO_PI)
-    return sorted(out)
+    a_ref = math.atan2(anchor[1], anchor[0])
+    candidates = {
+        (math.atan2(p[1], p[0]) - a_ref) % TWO_PI
+        for p in target
+        if abs(math.hypot(*p) - rmax) <= eps * max(1.0, rmax)
+    }
+    for a in sorted(candidates):
+        if _multisets_close([_rotate(p, a) for p in ref], target, eps):
+            yield a
 
 
 def _all_zero(pts, eps: float) -> bool:
@@ -111,12 +117,8 @@ def stabilizer_order(X, eps: float = DEFAULT_EPS) -> StabilizerInfo:
     if not pts:
         raise ValueError("the multiset must be non-empty")
     if _all_zero(pts, eps):
-        return StabilizerInfo(order=None, theta=None)
-    count = 0
-    for a in _candidate_angles(pts, pts, eps):
-        if _multisets_close([_rotate(p, a) for p in pts], pts, eps):
-            count += 1
-    return StabilizerInfo(order=count, theta=TWO_PI / count)
+        return StabilizerInfo(None)
+    return StabilizerInfo(sum(1 for _ in _rotations(pts, pts, eps)))
 
 
 def _wrap_multiset(pts) -> Node:
@@ -143,15 +145,11 @@ def so2_hash(X, reg: OrbitRegistry) -> So2Hash:
     rep = [c.rel for c in reg.representative(code).children]
     norm = 1.0 + code
     if _all_zero(pts, eps):
-        stab = StabilizerInfo(order=None, theta=None)
+        stab = StabilizerInfo(None)
         phi = 0.0
     else:
         stab = stabilizer_order(rep, eps)
-        alpha = None
-        for a in _candidate_angles(rep, pts, eps):
-            if _multisets_close([_rotate(p, a) for p in rep], pts, eps):
-                alpha = a
-                break
+        alpha = next(_rotations(rep, pts, eps), None)
         if alpha is None:  # cannot happen for a registered orbit member
             raise RuntimeError("orbit representative does not reach the input")
         phi = (alpha * stab.order) % TWO_PI
@@ -178,7 +176,7 @@ def run_so2_gwl(
     if g1.dim != 2 or g2.dim != 2:
         raise ValueError("this refinement is defined for d = 2 only")
     if max_iters is None:
-        max_iters = max(1, g1.n + g2.n)
+        max_iters = _default_cap(g1, g2, geometric=False)
     eps = g1.ctx.eps if g1.ctx.mode == "float" else DEFAULT_EPS
     reg = so2_registry(eps)
     # key colours get their own registry: sharing the orbit registry's

@@ -163,11 +163,27 @@ def _two_nodes(**changes):
         _two_nodes(nodes=[{"s": {"a": 1}, "x": ["0", "0"]}, {"s": [0], "x": ["1", "0"]}]),
         _two_nodes(nodes=5),
         _two_nodes(nodes={"a": 1}),
+        # JSON true/false are not the numbers 1/0
+        _two_nodes(nodes=[{"s": [0], "x": [True, False]}, {"s": [0], "x": ["1", "0"]}]),
+        _two_nodes(nodes=[{"s": [0], "x": ["0", "0"], "v": [[True, "0"]]}, {"s": [0], "x": ["1", "0"]}]),
+        _two_nodes(edges=None, cutoff=True),
+        _two_nodes(numeric="float", nodes=[{"s": [0], "x": [True, False]}, {"s": [0], "x": [1.0, 0.0]}]),
+        _two_nodes(
+            numeric="float",
+            nodes=[{"s": [0], "x": [0.0, 0.0], "v": [[True, 0.0]]}, {"s": [0], "x": [1.0, 0.0]}],
+        ),
+        _two_nodes(
+            numeric="float", nodes=[{"s": [0], "x": [0.0, 0.0]}, {"s": [0], "x": [1.0, 0.0]}],
+            edges=None, cutoff=True,
+        ),
+        _two_nodes(nodes=[{"s": [True], "x": ["0", "0"]}, {"s": [0], "x": ["1", "0"]}]),
     ],
     ids=[
         "dim-not-int", "dim-4", "edge-float", "edge-bool", "scalar-list", "cutoff-dim",
         "string-fields", "string-vector", "object-position", "object-scalars",
-        "nodes-int", "nodes-object",
+        "nodes-int", "nodes-object", "exact-position-bool", "exact-vector-bool",
+        "exact-cutoff-bool", "float-position-bool", "float-vector-bool", "float-cutoff-bool",
+        "scalar-bool",
     ],
 )
 def test_malformed_graph_field_is_input_error(tmp_path, capsys, data):
@@ -334,6 +350,43 @@ def test_props_dihedral(tmp_path, capsys):
     assert main(["props", str(a), "--dihedral", "0,1,2,3", "--format", "json"]) == EXIT_SAME
     report = json.loads(capsys.readouterr().out)
     assert report["dihedrals"]["0,1,2,3"] == 0.0
+
+
+def test_load_warning_is_one_line_per_load(tmp_path, capsys):
+    data = {
+        "dim": 2, "numeric": "exact", "cutoff": "2",
+        "nodes": [{"s": [0], "x": ["0", "0"]}, {"s": [0], "x": ["0", "0"]}, {"s": [0], "x": ["1", "0"]}],
+    }
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps(data))
+    assert main(["distinguish", str(path), str(path), "--format", "json"]) == EXIT_SAME
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "indistinguishable"
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert line.startswith(f"warning: {path}: coincident points")
+        assert "graph.py" not in line
+
+
+@pytest.mark.parametrize("group", ["O", "SO"])
+def test_so2_refine_is_distinguish_test_so2(tmp_path, capsys, group):
+    from geowl import gen_lfold
+
+    paths = []
+    for name, g in (("l3", gen_lfold(3)), ("l3r", gen_lfold(3, 0.4)), ("l4", gen_lfold(4))):
+        paths.append(str(tmp_path / f"{name}.json"))
+        dump_graph(g, paths[-1])
+    codes = []
+    for a, b in ((paths[0], paths[1]), (paths[0], paths[2])):
+        for extra in ([], ["--max-iters", "1"]):
+            codes.append(main(["so2", "refine", a, b] + extra))
+            refine = capsys.readouterr()
+            argv = ["distinguish", a, b, "--test", "so2", "--format", "json", "--group", group]
+            assert main(argv + extra) == codes[-1]
+            assert capsys.readouterr() == refine
+            assert '"group"' not in refine.out
+    assert codes == [EXIT_SAME, EXIT_SAME, EXIT_DIFFERENT, EXIT_DIFFERENT]
 
 
 def test_so2_subcommands(tmp_path, capsys):

@@ -122,6 +122,30 @@ def test_hash_equivariance_law():
         assert hr.norm == pytest.approx(h.norm)
 
 
+def test_hash_stabilizer_order_is_an_orbit_invariant():
+    # L must not depend on which member of an orbit was registered first:
+    # exact and near duplicates ([p, p] and [p, R(1e-11) p]) share an orbit
+    # code, as do multi-ring polygons and their rotated copies
+    rng = random.Random(23)
+    families = []
+    for _ in range(30):
+        p = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+        families.append([[p, p], [p, rotate_set([p], 1e-11)[0]]])
+        rings = []
+        for _ in range(rng.randint(2, 3)):
+            r = rng.choice([1.0, rng.uniform(0.5, 2.0)])
+            rings += regular_polygon(rng.randint(1, 6), r, rng.uniform(0, 2 * math.pi))
+        families.append([rings, rotate_set(rings, rng.uniform(0, 2 * math.pi))])
+    for step in (1, -1):
+        reg = so2_registry()
+        orders = {}
+        for family in families:
+            for pts in family[::step]:
+                h = so2_hash(pts, reg)
+                orders.setdefault(h.orbit_code, set()).add(h.stabilizer.order)
+        assert all(len(found) == 1 for found in orders.values()), orders
+
+
 def test_hash_continuous_multiset_angle_zero():
     reg = so2_registry()
     h = so2_hash([(0.0, 0.0)], reg)
