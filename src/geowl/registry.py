@@ -23,12 +23,10 @@ class OrbitRegistry:
         self.dim = dim
         self.proper = proper
         self._next = 0
+        # hashable keys and exact-mode bags -> colour
         self._keys: Dict[Hashable, int] = {}
-        self._rep_by_colour: Dict[int, object] = {}
         # (skeleton, norm_profile | None) -> list of (representative, colour)
         self._orbits: Dict[tuple, List[Tuple[object, int]]] = {}
-        # exact mode: hashable multiset key -> colour; float: linear list
-        self._bags_exact: Dict[tuple, int] = {}
         self._bags_float: List[Tuple[tuple, int]] = []
 
     def _fresh(self) -> int:
@@ -56,24 +54,19 @@ class OrbitRegistry:
                 return colour
         colour = self._fresh()
         bucket.append((obj, colour))
-        self._rep_by_colour[colour] = obj
         return colour
-
-    def representative(self, colour: int):
-        """The stored representative of an orbit colour (first object seen)."""
-        return self._rep_by_colour[colour]
 
     def intern_bag(self, bag: Tuple[tuple, ...]) -> int:
         """Colour for a sorted tuple of descriptors.
 
-        Exact-mode descriptors are fully hashable; float descriptors carry
-        floats that must compare through the tolerance, so matching falls
-        back to a linear scan.
+        Exact-mode descriptors are fully hashable and share the key dict;
+        float descriptors carry floats that must compare through the
+        tolerance, so matching falls back to a linear scan.
         """
         if self.ctx.mode == "exact":
-            c = self._bags_exact.get(bag)
+            c = self._keys.get(bag)
             if c is None:
-                c = self._bags_exact[bag] = self._fresh()
+                c = self._keys[bag] = self._fresh()
             return c
         for other, colour in self._bags_float:
             if self._bag_eq(bag, other):
@@ -85,8 +78,6 @@ class OrbitRegistry:
     def _bag_eq(self, a, b) -> bool:
         if type(a) is not type(b):
             return False
-        if isinstance(a, (int, str, bool)) or a is None:
-            return a == b
         if isinstance(a, float):
             return self.ctx.eq(a, b)
         if isinstance(a, tuple):

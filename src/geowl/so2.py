@@ -13,13 +13,12 @@ configurations: it is pinned to zero by any nontrivial symmetry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .engines import RefinementTrace, Verdict, _default_cap, _refine
 from .graph import GeometricGraph
-from .numeric import DEFAULT_EPS, NumericContext
-from .objects import Child, Leaf, Node
+from .numeric import DEFAULT_EPS, float_context
 from .registry import OrbitRegistry
 
 TWO_PI = 2 * math.pi
@@ -121,38 +120,45 @@ def stabilizer_order(X, eps: float = DEFAULT_EPS) -> StabilizerInfo:
     return StabilizerInfo(sum(1 for _ in _rotations(pts, pts, eps)))
 
 
-def _wrap_multiset(pts) -> Node:
-    children = tuple(Child(0, Leaf(0, ()), p) for p in pts)
-    return Node(0, Leaf(0, ()), children)
+@dataclass
+class So2Registry:
+    """SO(2) orbits seen so far: multiset size -> (representative points,
+    the representative's stabilizer, orbit code) in registration order."""
+
+    eps: float
+    orbits: Dict[int, List[Tuple[list, StabilizerInfo, int]]] = field(default_factory=dict)
+    count: int = 0
 
 
-def so2_registry(eps: float = DEFAULT_EPS) -> OrbitRegistry:
-    return OrbitRegistry(NumericContext("float", eps), 2, proper=True)
+def so2_registry(eps: float = DEFAULT_EPS) -> So2Registry:
+    return So2Registry(eps)
 
 
-def so2_hash(X, reg: OrbitRegistry) -> So2Hash:
+def so2_hash(X, reg: So2Registry) -> So2Hash:
     """Encode the multiset X as norm = 1 + orbit index, angle = alpha * L.
 
-    alpha is the smallest rotation angle carrying the registered orbit
-    representative onto X, and L is the stabilizer order; the product is
-    well defined modulo 2*pi precisely because the representative is only
-    determined up to its own stabilizer. Continuous-stabilizer multisets
-    (all zero, or empty) take angle 0.
+    X joins the first registered orbit whose representative the rotation
+    scan carries onto X, and alpha is that scan's smallest angle; a new
+    orbit takes X as its representative (alpha = 0) and its stabilizer
+    order L, found once per orbit. The product is well defined modulo 2*pi
+    precisely because the representative is only determined up to its own
+    stabilizer. Continuous-stabilizer orbits (all zero, or empty) take
+    angle 0.
     """
-    eps = reg.ctx.eps
+    eps = reg.eps
     pts = _as_float_points(X)
-    code = reg.intern_orbit(_wrap_multiset(pts))
-    rep = [c.rel for c in reg.representative(code).children]
-    norm = 1.0 + code
-    if _all_zero(pts, eps):
-        stab = StabilizerInfo(None)
-        phi = 0.0
+    bucket = reg.orbits.setdefault(len(pts), [])
+    for rep, stab, code in bucket:
+        alpha = next(_rotations(rep, pts, eps), None) if pts else 0.0
+        if alpha is not None:
+            break
     else:
-        stab = stabilizer_order(rep, eps)
-        alpha = next(_rotations(rep, pts, eps), None)
-        if alpha is None:  # cannot happen for a registered orbit member
-            raise RuntimeError("orbit representative does not reach the input")
-        phi = (alpha * stab.order) % TWO_PI
+        code, alpha = reg.count, 0.0
+        stab = stabilizer_order(pts, eps) if pts else StabilizerInfo(None)
+        bucket.append((pts, stab, code))
+        reg.count += 1
+    norm = 1.0 + code
+    phi = 0.0 if stab.continuous else (alpha * stab.order) % TWO_PI
     return So2Hash(
         vector=(norm * math.cos(phi), norm * math.sin(phi)),
         norm=norm,
@@ -179,9 +185,7 @@ def run_so2_gwl(
         max_iters = _default_cap(g1, g2, geometric=False)
     eps = g1.ctx.eps if g1.ctx.mode == "float" else DEFAULT_EPS
     reg = so2_registry(eps)
-    # key colours get their own registry: sharing the orbit registry's
-    # counter would renumber the orbit codes, which set the message norms
-    col = so2_registry(eps).intern_key
+    col = OrbitRegistry(float_context(eps), 2, proper=False).intern_key
 
     def colours(g: GeometricGraph) -> Iterator[List[int]]:
         c = [col(("s", g.scalars[i])) for i in range(g.n)]

@@ -69,13 +69,15 @@ def test_traced_gwl_on_a_pinned_pair_keeps_every_metric(tracing):
 
 
 def test_traced_cli_metrics_are_finite_numbers(tracing, tmp_path, capsys):
-    # the in-process CLI path: file loading, the oracle, k-body bags; gwl
-    # adds the orbit searches that every ratio metric divides by
-    cloud = gen_random_cloud(5, 3, seed=4)
-    g = with_cutoff_sq(cloud, mst_bottleneck_sq(cloud.positions))
-    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    dump_graph(g, a)
-    dump_graph(apply_isometry(g, random_isometry(g.n, 3, 5, proper=True)), b)
+    # the in-process CLI path: file loading, the oracle, k-body bags and the
+    # SO(2) hash; gwl adds the orbit searches that every ratio metric
+    # divides by, which so2 alone does not make
+    a, b, c, d = (str(tmp_path / f"{name}.json") for name in "abcd")
+    for dim, first, second in ((3, a, b), (2, c, d)):
+        cloud = gen_random_cloud(5, dim, seed=4)
+        g = with_cutoff_sq(cloud, mst_bottleneck_sq(cloud.positions))
+        dump_graph(g, first)
+        dump_graph(apply_isometry(g, random_isometry(g.n, dim, 5, proper=True)), second)
     tracing.clear_caches()
     tracer = tracing.Tracer(0)
     tracer.install()
@@ -84,6 +86,8 @@ def test_traced_cli_metrics_are_finite_numbers(tracing, tmp_path, capsys):
             ["distinguish", a, b, "--test", "igwl-k", "--k", "3", "--group", "SO"],
             ["iso", a, b, "--group", "SO"],
             ["distinguish", a, b, "--test", "gwl"],
+            ["distinguish", c, d, "--test", "so2"],
+            ["distinguish", c, d, "--test", "gwl"],
         ):
             assert main(argv) == 0, argv
     finally:
@@ -95,5 +99,6 @@ def test_traced_cli_metrics_are_finite_numbers(tracing, tmp_path, capsys):
         if not isinstance(value, (int, float)) or not math.isfinite(value)
     }
     assert not_finite == {}
+    assert metrics["so2.run.s"] > 0
     for name in ("oracle.calls", "oracle.push.calls", "registry.intern_bag.calls", "graph.load.calls"):
         assert metrics[name] > 0, name

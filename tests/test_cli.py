@@ -389,6 +389,23 @@ def test_so2_refine_is_distinguish_test_so2(tmp_path, capsys, group):
     assert codes == [EXIT_SAME, EXIT_SAME, EXIT_DIFFERENT, EXIT_DIFFERENT]
 
 
+@pytest.mark.parametrize(
+    "arms",
+    [((5e-10, 0.0), (0.0, 2e-9))]
+    + [((s, 0.0), (0.0, 2 * s)) for s in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5)],
+    ids=["t", "star-1e-9", "star-1e-8", "star-1e-7", "star-1e-6", "star-1e-5"],
+)
+def test_tiny_planar_star_against_itself_under_so2(tmp_path, capsys, arms):
+    # arms far below sqrt(eps): the SO(2) hash used to file both edge vectors
+    # under one orbit by squared norms, then fail to rotate one onto the other
+    nodes = [{"s": [0], "x": [0.0, 0.0]}] + [{"s": [0], "x": list(p)} for p in arms]
+    path = tmp_path / "star.json"
+    data = {"dim": 2, "numeric": "float", "nodes": nodes, "edges": [[0, 1], [0, 2]]}
+    path.write_text(json.dumps(data))
+    assert main(["distinguish", str(path), str(path), "--test", "so2"]) == EXIT_SAME
+    assert capsys.readouterr().err == ""
+
+
 def test_so2_subcommands(tmp_path, capsys):
     from geowl import gen_lfold
 

@@ -6,9 +6,14 @@ import pytest
 from conftest import connected_pair, float_graph, rotation_2d
 
 from geowl import (
+    Child,
     GroupSpec,
+    Leaf,
+    Node,
+    OrbitRegistry,
     apply_isometry,
     equivariant_sum_demo,
+    float_context,
     gen_lfold,
     run_gwl,
     run_so2_gwl,
@@ -171,6 +176,46 @@ def test_so2_hash_continuity_matches_stabilizer(pts, continuous):
 def test_so2_hash_of_empty_multiset_is_continuous():
     h = so2_hash([], so2_registry())
     assert h.stabilizer.continuous and h.angle == 0.0
+
+
+def test_so2_hash_near_origin_orbits_follow_the_rotation_scan():
+    # the squared-norm band of the generic orbit search put these two in one
+    # orbit, whose representative the rotation scan then could not carry
+    # onto the second; the first lies within eps of the origin, the second
+    # does not
+    reg = so2_registry()
+    h1 = so2_hash([(5e-10, -5e-10), (0.0, 1e-9)], reg)
+    h2 = so2_hash([(3e-9, 0.0), (0.0, -3e-9)], reg)
+    assert h1.orbit_code != h2.orbit_code
+    assert h1.stabilizer.continuous and not h2.stabilizer.continuous
+
+
+def test_so2_orbit_codes_match_the_generic_orbit_search_at_ordinary_scale():
+    # with coordinates of order 1, far above sqrt(eps), the rotation scan and
+    # the GramMatcher search under SO(2) (squared norms and dots) agree on
+    # every orbit, whatever the registration order; they part only below
+    # about sqrt(eps), where squared norms fall inside the tolerance band
+    rng = random.Random(31)
+    families = [[[]], [[(0.0, 0.0)], [(0.0, 0.0)]], [[(0.0, 0.0), (0.0, 0.0)]]]
+    for _ in range(25):
+        p = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+        families.append([[p, p], [p, rotate_set([p], 1e-11)[0]], rotate_set([p, p], 2.0)])
+        rings = []
+        for _ in range(rng.randint(1, 3)):
+            r = rng.choice([1.0, rng.uniform(0.5, 2.0)])
+            rings += regular_polygon(rng.randint(1, 6), r, rng.uniform(0, 2 * math.pi))
+        cloud = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(1, 5))]
+        ints = [(float(rng.randint(-3, 3)), float(rng.randint(-3, 3))) for _ in range(rng.randint(1, 4))]
+        for pts in (rings, cloud, ints):
+            families.append([pts] + [rotate_set(pts, rng.uniform(0, 2 * math.pi)) for _ in range(2)])
+        families.append([[(-y, x) for x, y in ints], [(-x, -y) for x, y in ints]])
+    for step in (1, -1):
+        reg = so2_registry()
+        generic = OrbitRegistry(float_context(), 2, proper=True)
+        for family in families[::step]:
+            for pts in family[::step]:
+                node = Node(0, Leaf(0, ()), tuple(Child(0, Leaf(0, ()), p) for p in pts))
+                assert so2_hash(pts, reg).orbit_code == generic.intern_orbit(node), pts
 
 
 # --- refinement -------------------------------------------------------------
