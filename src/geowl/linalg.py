@@ -117,29 +117,50 @@ def det_sign(m: Sequence[Vec], ctx: NumericContext) -> int:
     return 1 if d > 0 else -1
 
 
-def independent_subset(vectors: Sequence[Vec], ctx: NumericContext, limit: int) -> List[int]:
-    """Indices of a greedy maximal linearly independent prefix-subset.
+def extends(basis: Sequence[Vec], v: Vec, ctx: NumericContext) -> bool:
+    """Whether v lies outside the (numerical) span of the vectors in basis,
+    which are taken to be independent: the one independence rule of every
+    greedy basis in the library.
 
-    Deterministic: scans in order, keeps a vector iff it is not (numerically)
-    in the span of the kept ones, stops at `limit`.
+    Exact mode never divides: v extends the basis iff the Gram determinant
+    of basis + v is non-zero, tested for an empty basis as v != 0, for one
+    basis vector as strict Cauchy-Schwarz, and as the plain determinant once
+    basis + v is square. Float mode reduces v against the basis by
+    Gram-Schmidt, the rows rebuilt in order, and keeps it when the residual
+    is not zero at the scale max(1, |v|^2).
     """
-    kept: List[int] = []
-    basis: List[List[Number]] = []  # Gram-Schmidt-style reduced rows (unnormalised)
-    # int / int is a float, so exact mode divides through Fraction
-    div = Fraction if ctx.mode == EXACT else truediv
-    for idx, v in enumerate(vectors):
-        r = list(v)
-        for b in basis:
+    if ctx.mode == EXACT:
+        if not basis:
+            return any(v)
+        if len(basis) == 1:
+            return dot(basis[0], v) ** 2 != norm_sq(basis[0]) * norm_sq(v)
+        rows = [*basis, v]
+        if len(rows) < len(v):
+            rows = [[dot(p, q) for q in rows] for p in rows]
+        return det(rows) != 0
+    reduced: List[List[Number]] = []  # Gram-Schmidt-style rows (unnormalised)
+    for u in (*basis, v):
+        r = list(u)
+        for b in reduced:
             bb = sum(x * x for x in b)
             if bb == 0:
                 continue
-            coef = div(sum(x * y for x, y in zip(r, b)), bb)
+            coef = sum(x * y for x, y in zip(r, b)) / bb
             r = [x - coef * y for x, y in zip(r, b)]
-        residual = sum(x * x for x in r)
-        scale = max(1, abs(norm_sq(v)))
-        if not ctx.is_zero(residual, scale):
+        reduced.append(r)
+    return not ctx.is_zero(sum(x * x for x in r), max(1, abs(norm_sq(v))))
+
+
+def independent_subset(vectors: Sequence[Vec], ctx: NumericContext, limit: int) -> List[int]:
+    """Indices of a greedy maximal linearly independent prefix-subset.
+
+    Deterministic: scans in order, keeps a vector iff it `extends` the kept
+    ones, stops at `limit`.
+    """
+    kept: List[int] = []
+    for idx, v in enumerate(vectors):
+        if extends([vectors[k] for k in kept], v, ctx):
             kept.append(idx)
-            basis.append(r)
             if len(kept) == limit:
                 break
     return kept
@@ -185,18 +206,18 @@ class GramMatcher:
     Rank below the ambient dimension collapses the proper check to the
     orthogonal one (a reflection fixing the span completes any rotation).
 
-    In exact mode the matcher keeps `basis`, the positions in v1 of the
-    greedy independent prefix (what independent_subset(v1, ctx, dim)
-    returns), and a push compares the norm and the dots against the basis
-    pairs only, O(dim) instead of O(len(v1)). That accepts exactly what the
-    all-pairs check accepts: the basis pairs have equal Gram matrices, and
-    every other accepted pair (u, w) has the same coefficients c on both
-    sides, u = sum c_i b1_i and w = sum c_i b2_i, since w's dots against
-    the basis fix its projection onto the span and the equal norm leaves no
-    orthogonal remainder. So <a, u> = sum c_i <a, b1_i> = sum c_i <b, b2_i>
-    = <b, w> for a candidate (a, b) that matches the basis dots. Float mode
-    checks every earlier pair: under a tolerance, agreement with the basis
-    does not bound the error against the other vectors.
+    The matcher keeps `basis`, the positions in v1 of the greedy
+    independent prefix: what independent_subset(v1, ctx, dim) returns, in
+    both modes. In exact mode a push compares the norm and the dots against
+    the basis pairs only, O(dim) instead of O(len(v1)). That accepts exactly
+    what the all-pairs check accepts: the basis pairs have equal Gram
+    matrices, and every other accepted pair (u, w) has the same coefficients
+    c on both sides, u = sum c_i b1_i and w = sum c_i b2_i, since w's dots
+    against the basis fix its projection onto the span and the equal norm
+    leaves no orthogonal remainder. So <a, u> = sum c_i <a, b1_i> =
+    sum c_i <b, b2_i> = <b, w> for a candidate (a, b) that matches the basis
+    dots. Float mode checks every earlier pair: under a tolerance, agreement
+    with the basis does not bound the error against the other vectors.
     """
 
     def __init__(self, ctx: NumericContext, dim: int, proper: bool):
@@ -207,37 +228,31 @@ class GramMatcher:
         self.v2: List[Vec] = []
         self.i1: List[int] = []
         self.i2: List[int] = []
-        self.basis: Optional[List[int]] = [] if ctx.mode == EXACT else None
+        self.basis: List[int] = []
 
     def push(self, a: Vec, b: Vec) -> bool:
         d = _dot_cached
         ia, ib = _vec_id(a), _vec_id(b)
-        basis = self.basis
-        if basis is None:
-            ctx = self.ctx
-            if not ctx.eq(d(ia, ia, a, a), d(ib, ib, b, b)):
-                return False
-            for u, iu, w, iw in zip(self.v1, self.i1, self.v2, self.i2):
-                if not ctx.eq(d(ia, iu, a, u), d(ib, iw, b, w)):
-                    return False
-        else:
-            v1, i1, v2, i2 = self.v1, self.i1, self.v2, self.i2
+        ctx, basis = self.ctx, self.basis
+        v1, i1, v2, i2 = self.v1, self.i1, self.v2, self.i2
+        if ctx.mode == EXACT:
             if d(ia, ia, a, a) != d(ib, ib, b, b):
                 return False
             for k in basis:
                 if d(ia, i1[k], a, v1[k]) != d(ib, i2[k], b, v2[k]):
                     return False
-            if len(basis) < self.dim:
-                # independent of the basis iff the Gram determinant of
-                # basis + candidate is non-zero; every entry is cached
-                rows = [(i1[k], v1[k]) for k in basis] + [(ia, a)]
-                gram = [[d(ip, iq, p, q) for iq, q in rows] for ip, p in rows]
-                if det(gram) != 0:
-                    basis.append(len(v1))
-        self.v1.append(a)
-        self.i1.append(ia)
-        self.v2.append(b)
-        self.i2.append(ib)
+        else:
+            if not ctx.eq(d(ia, ia, a, a), d(ib, ib, b, b)):
+                return False
+            for u, iu, w, iw in zip(v1, i1, v2, i2):
+                if not ctx.eq(d(ia, iu, a, u), d(ib, iw, b, w)):
+                    return False
+        if len(basis) < self.dim and extends([v1[k] for k in basis], a, ctx):
+            basis.append(len(v1))
+        v1.append(a)
+        i1.append(ia)
+        v2.append(b)
+        i2.append(ib)
         return True
 
     def mark(self) -> int:
@@ -248,15 +263,11 @@ class GramMatcher:
         del self.v2[mark:]
         del self.i1[mark:]
         del self.i2[mark:]
-        basis = self.basis
-        if basis is not None:
-            while basis and basis[-1] >= mark:
-                basis.pop()
+        while self.basis and self.basis[-1] >= mark:
+            self.basis.pop()
 
     def rank_indices(self) -> List[int]:
-        if self.basis is not None:
-            return list(self.basis)
-        return independent_subset(self.v1, self.ctx, self.dim)
+        return list(self.basis)
 
     def orientation_ok(self) -> bool:
         if not self.proper:

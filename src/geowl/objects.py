@@ -30,35 +30,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .linalg import GramMatcher, det, norm_sq
-from .numeric import NumericContext, Vec
+from .linalg import GramMatcher, independent_subset, norm_sq
+from .numeric import EXACT, NumericContext, Vec, exact_context
+
+_EXACT = exact_context()
 
 
-def _greedy_basis(vectors: Iterable[Vec]) -> Tuple[Vec, ...]:
-    """A basis of the vectors' linear span, taken greedily in order and
-    stopping at len(v) vectors. Exact mode only: a vector joins when the
-    Gram determinant of basis + vector is non-zero, tested for one basis
-    vector as strict Cauchy-Schwarz, and as the plain determinant once
-    basis + vector is square."""
-    basis: Tuple[Vec, ...] = ()
-    for v in vectors:
-        if len(basis) == len(v):
-            break
-        if not basis:
-            new = any(v)
-        elif len(basis) == 1:
-            e = basis[0]
-            new = sum(map(mul, e, v)) ** 2 != sum(map(mul, e, e)) * sum(map(mul, v, v))
-        else:
-            rows = basis + (v,)
-            if len(rows) < len(v):
-                rows = [[sum(map(mul, p, q)) for q in rows] for p in rows]
-            new = det(rows) != 0
-        if new:
-            basis += (v,)
-    return basis
+def _greedy_basis(vectors: Sequence[Vec]) -> Tuple[Vec, ...]:
+    """A basis of the vectors' linear span, taken greedily in order by the
+    exact `independent_subset` and stopping at len(v) vectors."""
+    if not vectors:
+        return ()
+    return tuple(vectors[i] for i in independent_subset(vectors, _EXACT, len(vectors[0])))
 
 
 @dataclass(frozen=True)
@@ -167,8 +152,7 @@ class _Search:
 
     def __init__(self, matcher: GramMatcher, rank: int):
         self.matcher = matcher
-        # float mode never pins: an empty list never has length -1
-        self.basis = [] if matcher.basis is None else matcher.basis
+        self.basis = matcher.basis
         self.rank = rank
         self._bases = None
 
@@ -336,5 +320,6 @@ def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool) -> bool:
     mode keeps the generic search.
     """
     matcher = GramMatcher(ctx, dim, proper)
-    s = _Search(matcher, -1 if matcher.basis is None else len(a.span))
+    # float mode never pins: a basis never has length -1
+    s = _Search(matcher, len(a.span) if ctx.mode == EXACT else -1)
     return any(matcher.orientation_ok() for _ in _align(a, b, s))

@@ -81,7 +81,8 @@ def _multisets_close(a, b, eps: float) -> bool:
 def _rotations(ref, target, eps: float) -> Iterator[float]:
     """Ascending angles of the rotations carrying multiset ref onto target;
     each takes ref's anchor (largest norm, then largest angle) onto an
-    equal-norm point of target, so only those angles are checked."""
+    equal-norm point of target, so only those angles are checked; points
+    within `_multisets_close`'s tolerance of each other count once."""
     norms = [math.hypot(*p) for p in ref]
     rmax = max(norms)
     anchor = max(
@@ -89,11 +90,12 @@ def _rotations(ref, target, eps: float) -> Iterator[float]:
         key=lambda p: math.atan2(p[1], p[0]),
     )
     a_ref = math.atan2(anchor[1], anchor[0])
-    candidates = {
-        (math.atan2(p[1], p[0]) - a_ref) % TWO_PI
-        for p in target
-        if abs(math.hypot(*p) - rmax) <= eps * max(1.0, rmax)
-    }
+    ends: List[Tuple[float, float]] = []
+    for p in target:
+        if abs(math.hypot(*p) - rmax) <= eps * max(1.0, rmax):
+            if not any(_multisets_close([p], [q], eps) for q in ends):
+                ends.append(p)
+    candidates = {(math.atan2(p[1], p[0]) - a_ref) % TWO_PI for p in ends}
     for a in sorted(candidates):
         if _multisets_close([_rotate(p, a) for p in ref], target, eps):
             yield a

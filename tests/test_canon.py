@@ -4,9 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from geowl import Child, GroupSpec, Leaf, Node, OrbitRegistry, orbit_equal, random_isometry
-from geowl.engines import i_hash_k
-from geowl.linalg import matvec
+from conftest import connected_cutoff, exact_graph
+
+from geowl import (
+    Child,
+    GroupSpec,
+    Leaf,
+    Node,
+    OrbitRegistry,
+    apply_isometry,
+    gen_kchain,
+    gen_random_cloud,
+    orbit_equal,
+    random_isometry,
+)
+from geowl.engines import _leaves, _nodes, _on_ints, _scalar_colours, i_hash_k
+from geowl.linalg import independent_subset, matvec
 from geowl.numeric import exact_context, float_context
 
 CTX = exact_context()
@@ -92,6 +105,57 @@ def test_rank_deficient_so_collapses_to_o():
     b3 = depth1([f(2, 0, 0), f(0, -1, 0)], colours=[1, 2])
     assert orbit_equal(a3, b3, CTX, O3.dim, O3.proper)
     assert orbit_equal(a3, b3, CTX, SO3.dim, SO3.proper)
+
+
+def _unfolded(obj):
+    """Every vector of obj: its own, its child rels and its sub-objects'."""
+    if isinstance(obj, Leaf):
+        return list(obj.vectors)
+    vecs = _unfolded(obj.obj)
+    for c in obj.children:
+        vecs += [c.rel, *_unfolded(c.obj)]
+    return vecs
+
+
+def _span_graphs():
+    rng = random.Random("spans")
+    for seed in range(10):
+        yield connected_cutoff(gen_random_cloud(rng.randint(3, 7), rng.choice((2, 3)), seed))
+    for k in (2, 3, 4):
+        yield from gen_kchain(k)[:2]
+    # planar and collinear clouds in 3D, turned off the axes, one with
+    # in-plane feature vectors and one with a feature vector off the plane
+    for seed in range(8):
+        n = rng.randint(3, 6)
+        pts = [(rng.randint(-4, 4), rng.randint(-4, 4) if seed % 4 else 0, 0) for _ in range(n)]
+        vectors = None
+        if seed % 4 == 2:
+            vectors = [[(rng.randint(-2, 2), rng.randint(-2, 2), 0)] for _ in range(n)]
+        elif seed % 4 == 3:
+            vectors = [[(0, 0, 1)]] + [[] for _ in range(n - 1)]
+        flat = connected_cutoff(exact_graph(pts, (), vectors=vectors))
+        yield apply_isometry(flat, random_isometry(n, 3, seed, proper=True))
+
+
+def test_span_rank_is_the_rank_of_the_unfolded_object():
+    # pinning stops the search once the matcher's basis reaches len(a.span);
+    # spans are built from sub-objects' spans, and must still give the rank
+    # of every vector in the whole tree
+    ranks = set()
+    for g in _span_graphs():
+        g, _ = _on_ints(g, g)
+        reg = OrbitRegistry(g.ctx, g.dim, proper=False)
+        c = _scalar_colours(g, reg)
+        objs = _leaves(g, c)
+        for _ in range(3):
+            objs = _nodes(g, c, objs)
+            c = [reg.intern_orbit(o) for o in objs]
+            for o in objs:
+                vecs = _unfolded(o)
+                assert set(o.span) <= set(vecs)
+                assert len(o.span) == len(independent_subset(vecs, CTX, g.dim))
+                ranks.add((g.dim, len(o.span)))
+    assert {(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)} <= ranks
 
 
 def test_i_hash_issues_colours_in_first_encounter_order():

@@ -213,13 +213,37 @@ def test_gram_matcher_rank_indices_after_rewinds():
         assert m.rank_indices() == [1, 3, 5]
 
 
+def _near_dependent_pool(rng, dim):
+    """Float vectors of mixed scales, and sums of two earlier ones moved by
+    delta in [0, 1e-12, ..., 1e-6] along a random direction, so that the
+    independence test runs on both sides of the tolerance."""
+    pool = [tuple(0.0 for _ in range(dim))]
+    for _ in range(6):
+        if len(pool) > 1 and rng.random() < 0.5:
+            u, w = rng.choice(pool), rng.choice(pool)
+            a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
+            delta = rng.choice([0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+            pool.append(tuple(a * x + b * y + delta * rng.gauss(0, 1) for x, y in zip(u, w)))
+        else:
+            scale = rng.choice([1e-3, 1.0, 1e3])
+            pool.append(tuple(scale * rng.gauss(0, 1) for _ in range(dim)))
+    return pool
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_gram_matcher_rank_indices_match_independent_subset(dim):
-    ctx = exact_context()
+    # the matcher keeps its basis as it goes, in both modes; it must equal a
+    # fresh greedy scan of what it holds after every push and rewind
     rng = random.Random(("rank", dim).__repr__())
-    for _ in range(40):
+    contexts = [exact_context(), float_context(1e-12), float_context(), float_context(1e-6)]
+    for trial in range(160):
+        ctx = contexts[trial % len(contexts)]
         q = _orthogonal(rng, dim)
-        pool = _vector_pool(rng, dim)
+        if ctx.mode == "exact":
+            pool = _vector_pool(rng, dim)
+        else:
+            q = tuple(tuple(map(float, row)) for row in q)
+            pool = _near_dependent_pool(rng, dim)
         m = linalg.GramMatcher(ctx, dim, proper=True)
         for _ in range(12):
             a = rng.choice(pool)

@@ -151,6 +151,20 @@ def test_hash_stabilizer_order_is_an_orbit_invariant():
         assert all(len(found) == 1 for found in orders.values()), orders
 
 
+@pytest.mark.parametrize("p", [(0.3, 0.7), (1.0, 0.0), (-2.0, 5.0)])
+def test_near_coincident_points_count_as_one_symmetry(p):
+    # [p, R(1e-11) p] lies in [p, p]'s orbit, whose only symmetry is the
+    # identity; the two near angles must not count as two rotations, in
+    # either registration order
+    near = [p, rotate_set([p], 1e-11)[0]]
+    assert stabilizer_order(near).order == stabilizer_order([p, p]).order == 1
+    for family in ([near, [p, p]], [[p, p], near]):
+        reg = so2_registry()
+        hashes = [so2_hash(pts, reg) for pts in family]
+        assert hashes[0].orbit_code == hashes[1].orbit_code
+        assert [h.stabilizer.order for h in hashes] == [1, 1]
+
+
 def test_hash_continuous_multiset_angle_zero():
     reg = so2_registry()
     h = so2_hash([(0.0, 0.0)], reg)

@@ -4,6 +4,10 @@ Text files are read as UTF-8 on every platform: a read-mode `open` without
 `encoding=` decodes with the locale's encoding, so the same graph file
 would load under one locale and fail (or misread) under another.
 
+Whether a vector extends a basis is decided by `linalg.extends` alone, so
+`det` is called only inside `linalg.py`: a determinant anywhere else would
+be a second independence test.
+
 Library code keeps no state of its own between calls beyond the listed
 module-level caches, and changes no interpreter-global state: a caller's
 recursion limit, warning filters, random seed and environment are its own.
@@ -150,3 +154,14 @@ def test_library_changes_no_interpreter_global_state():
                 if dotted(t.value if isinstance(t, ast.Subscript) else t) == "os.environ":
                     bad.append(f"{path.name}:{node.lineno} writes os.environ")
     assert not bad, "; ".join(bad)
+
+
+def test_det_is_called_only_in_linalg():
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        dotted = _dotted_name_of(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (dotted(node.func) or "").split(".")[-1] == "det":
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls and all(c.startswith("linalg.py:") for c in calls), calls
