@@ -213,6 +213,8 @@ def cmd_props(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    if args.cap < 0:
+        raise CliUsageError("--cap must be >= 0")
     g1 = _load(args.graph_a, args.tolerance)
     g2 = _load(args.graph_b, args.tolerance)
     grp = GroupSpec(args.group, g1.dim)

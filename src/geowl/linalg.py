@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import truediv
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .numeric import EXACT, Number, NumericContext, Vec
 
@@ -216,8 +216,19 @@ class GramMatcher:
     against the basis fix its projection onto the span and the equal norm
     leaves no orthogonal remainder. So <a, u> = sum c_i <a, b1_i> =
     sum c_i <b, b2_i> = <b, w> for a candidate (a, b) that matches the basis
-    dots. Float mode checks every earlier pair: under a tolerance, agreement
-    with the basis does not bound the error against the other vectors.
+    dots. Float mode checks every earlier pair, since under a tolerance
+    agreement with the basis does not bound the error against the others,
+    but each distinct pair once: `held` maps a pair's vector ids to its
+    first position in v1, in first-push order. A new pair is compared by
+    norm, then with each held pair in that order, so it stops where a loop
+    over all of v1 would (a repeat has its first occurrence's dots). A
+    repeat of a held pair is accepted outright: its norm was checked at its
+    first push, it was compared then with every pair held before it, and
+    every pair held after it was compared with it (ctx.eq and the cached
+    dots are symmetric). So a FragileComparisonWarning fires at most once
+    per distinct (candidate, held pair) comparison: under an "always"
+    filter the count can only fall; under the default once-per-line filter
+    a repeated pair's fragile norm no longer warns again from the loop.
     """
 
     def __init__(self, ctx: NumericContext, dim: int, proper: bool):
@@ -229,6 +240,7 @@ class GramMatcher:
         self.i1: List[int] = []
         self.i2: List[int] = []
         self.basis: List[int] = []
+        self.held: Dict[Tuple[int, int], int] = {}  # float mode only
 
     def push(self, a: Vec, b: Vec) -> bool:
         d = _dot_cached
@@ -241,12 +253,13 @@ class GramMatcher:
             for k in basis:
                 if d(ia, i1[k], a, v1[k]) != d(ib, i2[k], b, v2[k]):
                     return False
-        else:
+        elif (ia, ib) not in self.held:
             if not ctx.eq(d(ia, ia, a, a), d(ib, ib, b, b)):
                 return False
-            for u, iu, w, iw in zip(v1, i1, v2, i2):
-                if not ctx.eq(d(ia, iu, a, u), d(ib, iw, b, w)):
+            for (iu, iw), k in self.held.items():
+                if not ctx.eq(d(ia, iu, a, v1[k]), d(ib, iw, b, v2[k])):
                     return False
+            self.held[ia, ib] = len(v1)
         if len(basis) < self.dim and extends([v1[k] for k in basis], a, ctx):
             basis.append(len(v1))
         v1.append(a)
@@ -265,6 +278,8 @@ class GramMatcher:
         del self.i2[mark:]
         while self.basis and self.basis[-1] >= mark:
             self.basis.pop()
+        while self.held and next(reversed(self.held.values())) >= mark:
+            self.held.popitem()
 
     def rank_indices(self) -> List[int]:
         return list(self.basis)

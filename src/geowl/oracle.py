@@ -60,6 +60,8 @@ def geometric_isomorphism_oracle(
         raise ValueError("dimension mismatch between graphs and group")
     if g1.ctx.mode != g2.ctx.mode:
         raise ModeMismatchError("cannot compare graphs in different numeric modes")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     if max(g1.n, g2.n) > cap:
         raise OracleCapExceeded(f"oracle capped at n <= {cap}, got {max(g1.n, g2.n)}")
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):

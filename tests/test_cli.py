@@ -14,7 +14,7 @@ from geowl import gen_kchain, gen_random_cloud, apply_isometry, random_isometry
 from geowl.cli import (
     EXIT_CAP, EXIT_DIFFERENT, EXIT_INPUT, EXIT_SAME, EXIT_USAGE, build_parser, main,
 )
-from geowl.graph import dump_graph
+from geowl.graph import dump_graph, load_graph
 
 
 @pytest.fixture
@@ -297,6 +297,23 @@ def test_iso_cap_exceeded(tmp_path, capsys):
     dump_graph(g, str(a))
     assert main(["iso", str(a), str(a)]) == EXIT_CAP
     assert main(["iso", str(a), str(a), "--cap", "12"]) == EXIT_SAME
+
+
+def test_iso_negative_cap_is_usage_error(tmp_path, capsys):
+    # a negative cap is an invalid argument, not "no answer within budget"
+    a = tmp_path / "empty.json"
+    a.write_text(json.dumps({"dim": 2, "numeric": "exact", "nodes": [], "edges": []}))
+    assert main(["iso", str(a), str(a), "--cap", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--cap" in captured.err
+    g = load_graph(str(a))
+    with pytest.raises(ValueError, match="cap"):
+        geowl.geometric_isomorphism_oracle(g, g, geowl.GroupSpec("O", 2), cap=-1)
+    # the empty graph fits under a cap of 0
+    assert main(["iso", str(a), str(a), "--cap", "0"]) == EXIT_SAME
+    assert capsys.readouterr().out == "isomorphic\nwitness permutation: []\n"
 
 
 def test_gen_writes_pair_and_spec(tmp_path, capsys):

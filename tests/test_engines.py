@@ -25,6 +25,7 @@ from geowl.engines import HISTOGRAMS_DIFFER, MAX_ITERS, PARTITION_STABLE, report
 from geowl.generators import mst_bottleneck_sq
 from geowl.graph import ModeMismatchError, with_cutoff_sq
 from geowl.linalg import GramMatcher
+from geowl.numeric import NumericContext
 from geowl.registry import OrbitRegistry
 
 
@@ -160,6 +161,36 @@ def test_gwl_symmetric_grid_against_a_copy(so3):
     assert sq_distances(g) != sq_distances(moved)
     verdict, _ = run_gwl(g, moved, so3)
     assert verdict.distinguished
+
+
+@pytest.mark.parametrize("variant", ["O", "SO"])
+def test_gwl_float_grids_compare_each_distinct_pair_once(monkeypatch, variant):
+    # the unfolded object tree pushes the same relative vectors again and
+    # again; a float push compares a candidate with each distinct held pair
+    # once, where comparing it with every held pair blew up on these grids
+    calls = 0
+    eq = NumericContext.eq
+
+    def counted(ctx, a, b):
+        nonlocal calls
+        calls += 1
+        return eq(ctx, a, b)
+
+    monkeypatch.setattr(NumericContext, "eq", counted)
+    grp = GroupSpec(variant, 3)
+    for shape in ((2, 2, 2), (3, 2, 2)):
+        exact = grid(*shape)
+        g = float_graph(exact.positions, exact.edges)
+        copy = apply_isometry(g, random_isometry(g.n, 3, 5, proper=True, mode="float"))
+        assert not run_gwl(g, copy, grp)[0].distinguished
+        first = copy.positions[0]
+        moved = replace(copy, positions=((first[0] + 0.1,) + first[1:],) + copy.positions[1:])
+        gaps = [abs(x - y) for x, y in zip(sq_distances(g), sq_distances(moved))]
+        assert max(gaps) > 0.01  # not congruent, certified without the engine
+        assert run_gwl(g, moved, grp)[0].distinguished
+    # about twice the count seen (66,785 under O, 155,506 under SO); the
+    # all-pairs loop made 31.8 and 51.6 million
+    assert calls < {"O": 135_000, "SO": 310_000}[variant]
 
 
 def test_gwl_dense_cutoff_cloud_against_a_copy(so3):

@@ -196,6 +196,60 @@ def test_gram_matcher_push_agrees_with_all_pairs_check(dim):
     assert accepted > 100 and rejected > 50
 
 
+def _float_pair_pool(rng, dim, eps):
+    """Float candidate pairs drawn again and again, as the unfolded object
+    tree pushes them: (a, Q a), the same moved by a few eps at a's scale so
+    the comparisons fall on both sides of the tolerance, (a, Q a') for
+    another pool vector, and (a, -a)."""
+    q = tuple(tuple(map(float, row)) for row in _orthogonal(rng, dim))
+    pairs = []
+    for a in _near_dependent_pool(rng, dim):
+        b = linalg.matvec(q, a)
+        pairs.append((a, b))
+        for k in (0.3, 1.0, 3.0, 30.0):
+            nudge = k * eps * max(1.0, linalg.norm_sq(a))
+            pairs.append((a, tuple(x + nudge * rng.gauss(0, 1) for x in b)))
+        pairs.append((a, linalg.vneg(a)))
+    others = [a for a, _ in pairs]
+    pairs.append((rng.choice(others), linalg.matvec(q, rng.choice(others))))
+    return pairs
+
+
+@pytest.mark.filterwarnings("ignore::geowl.numeric.FragileComparisonWarning")
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_float_gram_matcher_push_agrees_with_all_pairs_check(dim):
+    # a float push compares each distinct held pair once and accepts a
+    # repeat of a held pair outright; the all-pairs rule, repeats included,
+    # must give the same answers
+    rng = random.Random(("float matcher", dim).__repr__())
+    contexts = [float_context(1e-12), float_context(), float_context(1e-6)]
+    accepted = rejected = repeats = 0
+    for trial in range(90):
+        ctx = contexts[trial % len(contexts)]
+        pool = _float_pair_pool(rng, dim, ctx.eps)
+        m = linalg.GramMatcher(ctx, dim, proper=True)
+        pairs = []
+        for _ in range(16):
+            a, b = rng.choice(pairs if pairs and rng.random() < 0.3 else pool)
+            want = all(
+                ctx.eq(linalg.dot(a, u), linalg.dot(b, w)) for u, w in [(a, b)] + pairs
+            )
+            assert m.push(a, b) is want
+            if want:
+                repeats += (a, b) in pairs
+                pairs.append((a, b))
+                accepted += 1
+            else:
+                rejected += 1
+            if pairs and rng.random() < 0.15:
+                mark = rng.randrange(len(pairs) + 1)
+                m.rewind(mark)
+                del pairs[mark:]
+            assert m.v1 == [u for u, _ in pairs] and m.v2 == [w for _, w in pairs]
+            assert m.rank_indices() == linalg.independent_subset(m.v1, ctx, dim)
+    assert accepted > 600 and rejected > 400 and repeats > 300
+
+
 def test_gram_matcher_rank_indices_after_rewinds():
     # rewinds at marks above, at and below each basis position
     ctx = exact_context()
