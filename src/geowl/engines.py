@@ -91,33 +91,30 @@ def report_dict(test: str, grp: Optional[GroupSpec], verdict: Verdict, trace: Re
     return out
 
 
-def _check_pair(g1: GeometricGraph, g2: GeometricGraph, grp: Optional[GroupSpec]) -> None:
+def _pair(
+    g1: GeometricGraph, g2: GeometricGraph, grp: Optional[GroupSpec]
+) -> Tuple[GeometricGraph, GeometricGraph]:
+    """The one step every engine and the oracle take on a compared pair:
+    check it, then scale both graphs by one factor to working numbers.
+
+    An exact pair is scaled by m > 0, the LCM of the denominators of every
+    position and feature-vector component, so every coordinate is a plain
+    int. That multiplies every Gram entry by m^2 and every determinant by
+    m^d, so each equality, zero test, sign and order the engines look at
+    (pushes, bases, orientations, norm profiles, bucket keys, k-body
+    descriptors) comes out as on the unscaled pair, and so do the colours
+    and traces. Float pairs come back as they are. The callers' graphs are
+    never modified.
+    """
     if g1.dim != g2.dim:
         raise ValueError("graphs have different spatial dimensions")
     if g1.ctx.mode != g2.ctx.mode:
         raise ModeMismatchError("cannot compare graphs in different numeric modes")
     if grp is not None and grp.dim != g1.dim:
         raise ValueError("group dimension does not match the graphs")
-
-
-def _on_ints(g1: GeometricGraph, g2: GeometricGraph) -> Tuple[GeometricGraph, GeometricGraph]:
-    """Both graphs of an exact pair scaled by one m > 0, the LCM of the
-    denominators of every position and feature-vector component, so every
-    coordinate is a plain int.
-
-    Exact: scaling by m multiplies every Gram entry by m^2 and every
-    determinant by m^d, so each equality, zero test, sign and order the
-    engines look at (pushes, bases, orientations, norm profiles, bucket
-    keys, k-body descriptors) comes out as on the unscaled pair, and the
-    colours and traces are the same. Float pairs, and pairs already on
-    ints, come back unchanged; the callers' graphs are never modified.
-    """
     if g1.ctx.mode != EXACT:
         return g1, g2
-    m = 1
-    for g in (g1, g2):
-        for vec in chain(g.positions, *g.vectors):
-            m = lcm(m, *(c.denominator for c in vec))
+    m = lcm(*(c.denominator for g in (g1, g2) for v in chain(g.positions, *g.vectors) for c in v))
     if m == 1:
         return g1, g2
 
@@ -202,6 +199,24 @@ def _refine(
         prev_sig = sig
 
 
+def _run(
+    g1: GeometricGraph,
+    g2: GeometricGraph,
+    grp: Optional[GroupSpec],
+    max_iters: Optional[int],
+    colours: Callable[[GeometricGraph, OrbitRegistry], Iterator[List[int]]],
+    stable_exit: bool = True,
+) -> Tuple[Verdict, RefinementTrace]:
+    """The one prologue of the engines: take the pair step, set the default
+    budget, and refine with one registry shared by both graphs' streams.
+    grp is None for plain WL."""
+    g1, g2 = _pair(g1, g2, grp)
+    if max_iters is None:
+        max_iters = _default_cap(g1, g2, geometric=grp is not None)
+    reg = OrbitRegistry(g1.ctx, g1.dim, grp is not None and grp.proper)
+    return _refine(g1, g2, max_iters, lambda g: colours(g, reg), stable_exit)
+
+
 def _scalar_colours(g: GeometricGraph, reg: OrbitRegistry) -> List[int]:
     return [reg.intern_key(("s", g.scalars[i])) for i in range(g.n)]
 
@@ -223,12 +238,7 @@ def run_wl(
     g1: GeometricGraph, g2: GeometricGraph, max_iters: Optional[int] = None
 ) -> Tuple[Verdict, RefinementTrace]:
     """Plain colour refinement on scalars and adjacency; geometry ignored."""
-    _check_pair(g1, g2, None)
-    if max_iters is None:
-        max_iters = _default_cap(g1, g2, geometric=False)
-    reg = OrbitRegistry(g1.ctx, g1.dim, proper=False)
-
-    def colours(g: GeometricGraph) -> Iterator[List[int]]:
+    def colours(g: GeometricGraph, reg: OrbitRegistry) -> Iterator[List[int]]:
         c = _scalar_colours(g, reg)
         while True:
             yield c
@@ -237,7 +247,7 @@ def run_wl(
                 for i in range(g.n)
             ]
 
-    return _refine(g1, g2, max_iters, colours)
+    return _run(g1, g2, None, max_iters, colours)
 
 
 def run_gwl(
@@ -248,13 +258,7 @@ def run_gwl(
 ) -> Tuple[Verdict, RefinementTrace]:
     """Geometric refinement: per-node objects accumulate the full rotated
     neighbourhood geometry, coloured injectively on group orbits."""
-    _check_pair(g1, g2, grp)
-    g1, g2 = _on_ints(g1, g2)
-    if max_iters is None:
-        max_iters = _default_cap(g1, g2, geometric=True)
-    reg = OrbitRegistry(g1.ctx, g1.dim, grp.proper)
-
-    def colours(g: GeometricGraph) -> Iterator[List[int]]:
+    def colours(g: GeometricGraph, reg: OrbitRegistry) -> Iterator[List[int]]:
         c = _scalar_colours(g, reg)
         objs = _leaves(g, c)
         while True:
@@ -262,7 +266,7 @@ def run_gwl(
             objs = _nodes(g, c, objs)
             c = [reg.intern_orbit(o) for o in objs]
 
-    return _refine(g1, g2, max_iters, colours, stable_exit=False)
+    return _run(g1, g2, grp, max_iters, colours, stable_exit=False)
 
 
 def run_igwl(
@@ -276,19 +280,13 @@ def run_igwl(
     Each iteration re-hashes a depth-1 object built from the CURRENT
     colours but the fixed initial vectors and relative positions.
     """
-    _check_pair(g1, g2, grp)
-    g1, g2 = _on_ints(g1, g2)
-    if max_iters is None:
-        max_iters = _default_cap(g1, g2, geometric=True)
-    reg = OrbitRegistry(g1.ctx, g1.dim, grp.proper)
-
-    def colours(g: GeometricGraph) -> Iterator[List[int]]:
+    def colours(g: GeometricGraph, reg: OrbitRegistry) -> Iterator[List[int]]:
         c = _scalar_colours(g, reg)
         while True:
             yield c
             c = [reg.intern_orbit(o) for o in _nodes(g, c, _leaves(g, c))]
 
-    return _refine(g1, g2, max_iters, colours)
+    return _run(g1, g2, grp, max_iters, colours)
 
 
 def _tuple_descriptor(
@@ -352,13 +350,8 @@ def run_igwl_k(
     """IGWL restricted to k-body invariants of the fixed first-hop geometry."""
     if k < 2:
         raise ValueError("body order k must be at least 2")
-    _check_pair(g1, g2, grp)
-    g1, g2 = _on_ints(g1, g2)
-    if max_iters is None:
-        max_iters = _default_cap(g1, g2, geometric=True)
-    reg = OrbitRegistry(g1.ctx, g1.dim, grp.proper)
 
-    def colours(g: GeometricGraph) -> Iterator[List[int]]:
+    def colours(g: GeometricGraph, reg: OrbitRegistry) -> Iterator[List[int]]:
         c = _scalar_colours(g, reg)
         while True:
             yield c
@@ -372,4 +365,4 @@ def run_igwl_k(
                 for i in range(g.n)
             ]
 
-    return _refine(g1, g2, max_iters, colours)
+    return _run(g1, g2, grp, max_iters, colours)

@@ -12,13 +12,8 @@ from collections import Counter
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .graph import (
-    GeometricGraph,
-    GroupSpec,
-    IsometryWitness,
-    ModeMismatchError,
-    identity_witness,
-)
+from .engines import _pair
+from .graph import GeometricGraph, GroupSpec, IsometryWitness, identity_witness
 from .properties import centroid
 from .registry import OrbitRegistry
 
@@ -55,11 +50,12 @@ def geometric_isomorphism_oracle(
     reproduces g1 field by field. With a rank-deficient span the verdict
     is still exact but no witness is reported (completing the map to a
     full orthogonal matrix generally leaves the rationals).
+
+    The search runs on the pair `engines._pair` returns, both graphs scaled
+    exactly by one factor, so its matrix is also the one for the caller's
+    graphs; the translation is taken from the caller's graphs.
     """
-    if g1.dim != g2.dim or grp.dim != g1.dim:
-        raise ValueError("dimension mismatch between graphs and group")
-    if g1.ctx.mode != g2.ctx.mode:
-        raise ModeMismatchError("cannot compare graphs in different numeric modes")
+    h1, h2 = _pair(g1, g2, grp)
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
     if max(g1.n, g2.n) > cap:
@@ -67,7 +63,6 @@ def geometric_isomorphism_oracle(
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False, None
     n = g1.n
-    ctx = g1.ctx
     if n == 0:
         return True, identity_witness(g1)
     if Counter(g1.scalars) != Counter(g2.scalars):
@@ -86,11 +81,11 @@ def geometric_isomorphism_oracle(
         return False, None
     order = sorted(range(n), key=lambda i: len(cands[i]))
 
-    cen1, cen2 = centroid(g1), centroid(g2)
-    pos1 = [linalg.vsub(x, cen1) for x in g1.positions]
-    pos2 = [linalg.vsub(x, cen2) for x in g2.positions]
+    cen1, cen2 = centroid(h1), centroid(h2)
+    pos1 = [linalg.vsub(x, cen1) for x in h1.positions]
+    pos2 = [linalg.vsub(x, cen2) for x in h2.positions]
 
-    matcher = linalg.GramMatcher(ctx, g1.dim, grp.proper)
+    matcher = linalg.GramMatcher(h1.ctx, h1.dim, grp.proper)
     assign: List[Optional[int]] = [None] * n  # g1 index -> g2 index
     used = [False] * n
 
@@ -110,7 +105,7 @@ def geometric_isomorphism_oracle(
                 continue
             mark = matcher.mark()
             if matcher.push(pos1[i], pos2[j]) and all(
-                matcher.push(a, b) for a, b in zip(g1.vectors[i], g2.vectors[j])
+                matcher.push(a, b) for a, b in zip(h1.vectors[i], h2.vectors[j])
             ):
                 assign[i] = j
                 used[j] = True
@@ -131,5 +126,5 @@ def geometric_isomorphism_oracle(
     perm = [0] * n
     for i in range(n):
         perm[assign[i]] = i
-    t = linalg.vsub(cen1, linalg.matvec(q, cen2))
+    t = linalg.vsub(centroid(g1), linalg.matvec(q, centroid(g2)))
     return True, IsometryWitness(permutation=tuple(perm), matrix=q, translation=t)

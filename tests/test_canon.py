@@ -18,7 +18,7 @@ from geowl import (
     orbit_equal,
     random_isometry,
 )
-from geowl.engines import _leaves, _nodes, _on_ints, _scalar_colours, i_hash_k
+from geowl.engines import _leaves, _nodes, _pair, _scalar_colours, i_hash_k
 from geowl.linalg import independent_subset, matvec
 from geowl.numeric import exact_context, float_context
 
@@ -143,7 +143,7 @@ def test_span_rank_is_the_rank_of_the_unfolded_object():
     # of every vector in the whole tree
     ranks = set()
     for g in _span_graphs():
-        g, _ = _on_ints(g, g)
+        g, _ = _pair(g, g, None)
         reg = OrbitRegistry(g.ctx, g.dim, proper=False)
         c = _scalar_colours(g, reg)
         objs = _leaves(g, c)
