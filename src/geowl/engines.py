@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, product
-from math import lcm
+from math import frexp, lcm, ldexp
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -97,29 +97,32 @@ def _pair(
     """The one step every engine and the oracle take on a compared pair:
     check it, then scale both graphs by one factor to working numbers.
 
-    An exact pair is scaled by m > 0, the LCM of the denominators of every
-    position and feature-vector component, so every coordinate is a plain
-    int. That multiplies every Gram entry by m^2 and every determinant by
-    m^d, so each equality, zero test, sign and order the engines look at
-    (pushes, bases, orientations, norm profiles, bucket keys, k-body
-    descriptors) comes out as on the unscaled pair, and so do the colours
-    and traces. Float pairs come back as they are. The callers' graphs are
-    never modified.
+    An exact pair is scaled by m, the LCM of all its denominators, onto
+    plain ints; that multiplies each Gram entry by m^2 and each determinant
+    by m^d, so every comparison, colour and trace comes out as unscaled. A
+    float pair is scaled by 2^-e, e the `frexp` exponent of its extent (the
+    largest coordinate range on any axis or |feature component|), with
+    `ldexp`, exact short of overflow and underflow: pairs that differ only
+    by a power of two become bit-identical, whatever the unit of length.
     """
     if g1.dim != g2.dim:
         raise ValueError("graphs have different spatial dimensions")
-    if g1.ctx.mode != g2.ctx.mode:
-        raise ModeMismatchError("cannot compare graphs in different numeric modes")
+    if g1.ctx != g2.ctx:
+        raise ModeMismatchError("cannot compare graphs in different numeric modes or tolerances")
     if grp is not None and grp.dim != g1.dim:
         raise ValueError("group dimension does not match the graphs")
-    if g1.ctx.mode != EXACT:
-        return g1, g2
-    m = lcm(*(c.denominator for g in (g1, g2) for v in chain(g.positions, *g.vectors) for c in v))
-    if m == 1:
-        return g1, g2
+    m, e = 1, 0  # the factor is m (exact) or 2^-e (float)
+    if g1.ctx.mode == EXACT:
+        m = lcm(*(c.denominator for g in (g1, g2) for v in chain(g.positions, *g.vectors) for c in v))
+    else:
+        ranges = (max(axis) - min(axis) for g in (g1, g2) for axis in zip(*g.positions))
+        comps = (abs(c) for g in (g1, g2) for v in chain(*g.vectors) for c in v)
+        e = frexp(max(chain(ranges, comps), default=0.0))[1]
+    if m == 1 and e == 0:
+        return g1, g2  # a factor of 1 keeps the callers' graphs
 
     def up(vec: Vec) -> Vec:
-        return tuple(c.numerator * (m // c.denominator) for c in vec)
+        return tuple(ldexp(c, -e) if e else c.numerator * (m // c.denominator) for c in vec)
 
     return tuple(
         replace(

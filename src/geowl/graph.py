@@ -34,7 +34,7 @@ class GraphError(ValueError):
 
 
 class ModeMismatchError(GraphError):
-    """Two graphs in different numeric modes were compared."""
+    """Two graphs with different numeric modes or tolerances were compared."""
 
 
 class CoincidentPointsWarning(UserWarning):
@@ -223,38 +223,42 @@ def build_radial_graph(points, r, mode: Optional[str] = None, eps: float = DEFAU
         dim, positions, (), [tuple(p[0]) for p in points], [p[1] or () for p in points],
         mode=mode, eps=eps,
     )
-    ctx = g.ctx
-    r = ctx.coerce(r)
-    if not ctx.lt(0, r):
+    r = g.ctx.coerce(r)
+    if not r > 0:  # strictly, at any unit of length
         raise GraphError("cutoff radius must be positive")
-    if any(
-        ctx.is_zero(linalg.norm_sq(g.rel_vec(i, j))) for i in range(g.n) for j in range(i + 1, g.n)
-    ):
+    edges, coincident = _cutoff_edges(g, r * r)
+    if coincident:
         warnings.warn(
             "coincident points in radial-cutoff input: distance 0 produces no edge",
             CoincidentPointsWarning,
             stacklevel=2,
         )
-    return with_cutoff_sq(g, r * r)
+    return replace(g, edges=edges)
 
 
 def with_cutoff_sq(g: GeometricGraph, r_sq) -> GeometricGraph:
     """The same graph re-edged by squared radial cutoff: i ~ j iff
-    0 < |x_i - x_j|^2 <= r_sq.
+    0 < |x_i - x_j|^2 <= r_sq. Coincident points get no edge and no
+    warning here."""
+    return replace(g, edges=_cutoff_edges(g, r_sq)[0])
 
-    Distances are compared squared, which keeps exact mode exact; taking
-    the squared radius directly also admits cutoffs whose root is
-    irrational. Coincident points get no edge and no warning here.
-    """
-    ctx = g.ctx
-    edges = frozenset(
-        (i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        for d2 in (linalg.norm_sq(g.rel_vec(i, j)),)
-        if ctx.le(d2, r_sq) and not ctx.is_zero(d2)
-    )
-    return replace(g, edges=edges)
+
+def _cutoff_edges(g: GeometricGraph, r_sq) -> Tuple[frozenset, bool]:
+    """The one squared-cutoff rule: the pairs i < j with 0 < d2 <= r_sq,
+    d2 = |x_i - x_j|^2, and whether some d2 is 0. Squares keep exact mode
+    exact and admit irrational radii; float mode tests d2 / r_sq against 0
+    and 1, within eps of the cutoff itself, whatever the unit."""
+    ctx, edges, coincident = g.ctx, set(), False
+    rel = ctx.mode == FLOAT and r_sq > 0
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            d2 = linalg.norm_sq(g.rel_vec(i, j))
+            d2, top = (d2 / r_sq, 1.0) if rel else (d2, r_sq)
+            if ctx.is_zero(d2):
+                coincident = True
+            elif ctx.le(d2, top):
+                edges.add((i, j))
+    return frozenset(edges), coincident
 
 
 def _witness_is_exact(w: IsometryWitness) -> bool:

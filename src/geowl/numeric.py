@@ -82,11 +82,6 @@ class NumericContext:
             return a <= b
         return a <= b or self.eq(a, b)
 
-    def lt(self, a: Number, b: Number) -> bool:
-        if self.mode == EXACT:
-            return a < b
-        return a < b and not self.eq(a, b)
-
 
 def exact_context() -> NumericContext:
     return NumericContext(EXACT)

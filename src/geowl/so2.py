@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .engines import RefinementTrace, Verdict, _default_cap, _refine
-from .graph import GeometricGraph
-from .numeric import DEFAULT_EPS, float_context
+from .engines import RefinementTrace, Verdict, _default_cap, _pair, _refine
+from .graph import GeometricGraph, ModeMismatchError
+from .numeric import DEFAULT_EPS, FLOAT, float_context
 from .registry import OrbitRegistry
 
 TWO_PI = 2 * math.pi
@@ -179,15 +179,20 @@ def run_so2_gwl(
     result by a scalar-colour factor; step two folds a node's edge messages
     into one vector; later steps fold neighbour messages. Verdicts compare
     histograms of the message norms (the orbit codes), with the usual
-    stopping rules.
+    stopping rules. The pair must share one tolerance but may mix modes
+    (both are read as floats); only a float pair takes `engines._pair`'s
+    scale.
     """
     if g1.dim != 2 or g2.dim != 2:
         raise ValueError("this refinement is defined for d = 2 only")
+    if g1.ctx.eps != g2.ctx.eps:
+        raise ModeMismatchError("cannot compare graphs with different tolerances")
+    if g1.ctx.mode == g2.ctx.mode == FLOAT:
+        g1, g2 = _pair(g1, g2, None)
     if max_iters is None:
         max_iters = _default_cap(g1, g2, geometric=False)
-    eps = g1.ctx.eps if g1.ctx.mode == "float" else DEFAULT_EPS
-    reg = so2_registry(eps)
-    col = OrbitRegistry(float_context(eps), 2, proper=False).intern_key
+    reg = so2_registry(g1.ctx.eps)
+    col = OrbitRegistry(float_context(reg.eps), 2, proper=False).intern_key
 
     def colours(g: GeometricGraph) -> Iterator[List[int]]:
         c = [col(("s", g.scalars[i])) for i in range(g.n)]

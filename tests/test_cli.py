@@ -435,6 +435,19 @@ def test_so2_subcommands(tmp_path, capsys):
     assert main(["so2", "refine", str(a), str(a)]) == EXIT_SAME
 
 
+@pytest.mark.parametrize("tolerance, code", [("1e-3", EXIT_SAME), ("1e-9", EXIT_DIFFERENT)])
+def test_so2_honours_the_tolerance_on_exact_files(tmp_path, capsys, tolerance, code):
+    # exact files are hashed as floats; their tolerance used to be ignored
+    paths = []
+    for x in ("1", "1000001/1000000"):
+        nodes = [{"x": ["0", "0"]}, {"x": [x, "0"]}, {"x": ["0", "1"]}]
+        data = {"dim": 2, "numeric": "exact", "nodes": nodes, "edges": [[0, 1], [0, 2]]}
+        paths.append(tmp_path / f"{len(paths)}.json")
+        paths[-1].write_text(json.dumps(data))
+    argv = ["distinguish", *map(str, paths), "--test", "so2", "--tolerance", tolerance]
+    assert main(argv) == code
+
+
 def test_tolerance_env_var(tmp_path, capsys, monkeypatch):
     g1 = gen_random_cloud(3, 2, seed=4, mode="float")
     a, b = tmp_path / "p.json", tmp_path / "q.json"

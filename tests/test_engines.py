@@ -13,6 +13,7 @@ from geowl import (
     gen_kchain,
     gen_random_cloud,
     gen_triangles_vs_hexagon,
+    geometric_graph,
     geometric_isomorphism_oracle,
     random_isometry,
     run_gwl,
@@ -210,6 +211,43 @@ def test_gwl_triangles_vs_hexagon_first_iteration(o2):
 def test_gwl_mode_mismatch(o2):
     with pytest.raises(ModeMismatchError):
         run_gwl(gen_random_cloud(3, 2, seed=0), gen_random_cloud(3, 2, seed=0, mode="float"), o2)
+
+
+ENTRY_POINTS = {
+    "wl": lambda a, b, grp: run_wl(a, b),
+    "gwl": run_gwl,
+    "igwl": run_igwl,
+    "igwl-k": lambda a, b, grp: run_igwl_k(a, b, grp, 3),
+    "so2": lambda a, b, grp: run_so2_gwl(a, b),
+    "oracle": geometric_isomorphism_oracle,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_pair_entry_point_keeps_one_contract(name, o2):
+    run = ENTRY_POINTS[name]
+    tri = [(0, 0), (1, 0), (0, 1)]
+    edges = [(0, 1), (0, 2), (1, 2)]
+    exact = exact_graph(tri, edges)
+    run(exact, exact, o2)  # a well-formed pair passes
+    with pytest.raises(ValueError) as err:
+        run(exact, exact_graph([(0, 0, 0), (1, 0, 0), (0, 1, 0)], edges), o2)
+    assert not isinstance(err.value, ModeMismatchError)
+    if name != "so2":  # the SO(2) hash reads both graphs as floats
+        with pytest.raises(ModeMismatchError):
+            run(exact, float_graph(tri, edges), o2)
+    # one leg moved by 1e-5: seen at eps 1e-9, not at 1e-3, so the first
+    # graph's tolerance would decide the verdict
+    moved = [(0.0, 0.0), (1.0 + 1e-5, 0.0), (0.0, 1.0)]
+    fine = geometric_graph(2, moved, edges, mode="float", eps=1e-9)
+    coarse = geometric_graph(2, tri, edges, mode="float", eps=1e-3)
+    for a, b in ((fine, coarse), (coarse, fine)):
+        with pytest.raises(ModeMismatchError):
+            run(a, b, o2)
+    if name not in ("wl", "so2"):  # the engines that take a group
+        with pytest.raises(ValueError) as err:
+            run(exact, exact, GroupSpec("O", 3))
+        assert not isinstance(err.value, ModeMismatchError)
 
 
 # --- IGWL -------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Generated (hypothesis) checks of the contracts every engine must keep:
 orbit colours are invariant under isometries, isometric copies are never
-separated, a separating verdict is always confirmed by the oracle, and the
-exact orbit search agrees with the float one."""
+separated, a separating verdict is always confirmed by the oracle, the
+exact orbit search agrees with the float one, and float verdicts do not
+depend on the unit of length."""
 import itertools
 from fractions import Fraction
+from math import ldexp
 
 from conftest import connected_cutoff
 from test_canon import rotate_obj
@@ -25,6 +27,7 @@ from geowl import (
     run_gwl,
     run_igwl,
     run_igwl_k,
+    run_so2_gwl,
     run_wl,
 )
 from geowl.linalg import matvec
@@ -176,3 +179,35 @@ def test_distinguished_implies_oracle_non_congruent(data, d, variant):
     if any(verdict.distinguished for verdict, _ in runs):
         congruent, _ = geometric_isomorphism_oracle(g1, g2, grp)
         assert not congruent
+
+
+def float_scaled(g, unit, k):
+    """g with every coordinate as a float times unit, then times 2^k."""
+
+    def up(v):
+        return tuple(ldexp(float(c) * unit, k) for c in v)
+
+    vectors = [[up(v) for v in vs] for vs in g.vectors]
+    return geometric_graph(
+        g.dim, [up(x) for x in g.positions], sorted(g.edges), g.scalars, vectors, mode="float"
+    )
+
+
+@SETTINGS
+@given(st.data(), st.floats(0.1, 10), st.integers(-40, 40), st.sampled_from(["O", "SO"]))
+def test_float_verdicts_do_not_depend_on_a_power_of_two_unit(data, unit, k, variant):
+    g1, g2 = data.draw(near_copies(2))
+    grp = GroupSpec(variant, 2)
+
+    def answers(k):
+        a, b = float_scaled(g1, unit, k), float_scaled(g2, unit, k)
+        return [
+            run_wl(a, b),
+            run_gwl(a, b, grp),
+            run_igwl(a, b, grp),
+            run_igwl_k(a, b, grp, 3),
+            run_so2_gwl(a, b),
+            geometric_isomorphism_oracle(a, b, grp)[0],
+        ]
+
+    assert answers(k) == answers(0)

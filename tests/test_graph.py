@@ -97,6 +97,21 @@ def test_coincident_points_warn_from_radial_graph_only():
     assert g.edges == frozenset({(0, 1), (1, 2)})
 
 
+@pytest.mark.parametrize("k", range(-40, 41, 5))
+def test_float_cutoff_is_decided_at_the_cutoffs_own_scale(k):
+    # a chain at 0, 1e-6 and 3e-6 with cutoff 1.5e-6, times 2^k: an absolute
+    # band on squared distances used to leave it without edges below 1e-3
+    # and call its points coincident
+    pts = [((0,), (), (math.ldexp(x, k), 0.0)) for x in (0.0, 1e-6, 3e-6)]
+    r = math.ldexp(1.5e-6, k)
+    bare = geometric_graph(2, [p[2] for p in pts], (), [p[0] for p in pts], mode="float")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_radial_graph(pts, r, mode="float")
+        assert with_cutoff_sq(bare, r * r) == g
+    assert g.edges == frozenset({(0, 1)})
+
+
 @pytest.mark.parametrize("edge", [(-1, 0), (0, 2), (1, 7)])
 def test_edge_index_out_of_range(edge):
     with pytest.raises(GraphError, match="out of range"):
