@@ -20,12 +20,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, product
-from math import frexp, lcm, ldexp
+from math import lcm, ldexp
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .graph import GeometricGraph, GroupSpec, ModeMismatchError
-from .numeric import EXACT, Vec
+from .graph import GeometricGraph, GroupSpec, ModeMismatchError, _extent_exponent
+from .numeric import EXACT, FLOAT, Vec
 from .objects import Child, Leaf, Node
 from .registry import OrbitRegistry
 
@@ -95,19 +95,17 @@ def _pair(
     g1: GeometricGraph, g2: GeometricGraph, grp: Optional[GroupSpec]
 ) -> Tuple[GeometricGraph, GeometricGraph]:
     """The one step every engine and the oracle take on a compared pair:
-    check it, then scale both graphs by one factor to working numbers.
-
-    An exact pair is scaled by m, the LCM of all its denominators, onto
-    plain ints; that multiplies each Gram entry by m^2 and each determinant
-    by m^d, so every comparison, colour and trace comes out as unscaled. A
-    float pair is scaled by 2^-e, e the `frexp` exponent of its extent (the
-    largest coordinate range on any axis or |feature component|), with
-    `ldexp`, exact short of overflow and underflow: pairs that differ only
-    by a power of two become bit-identical, whatever the unit of length.
+    check it (one dimension, one mode, one eps for a float pair), then scale
+    both graphs by one factor. An exact pair goes onto plain ints by m, the
+    LCM of its denominators: Gram entries scale by m^2 and determinants by
+    m^d, so every comparison, colour and trace is as unscaled. A float pair
+    is scaled by 2^-e, e the `frexp` exponent of its extent (coordinate
+    ranges and |feature components|), with `ldexp`: exact short of over- and
+    underflow, so pairs that differ by a power of two become bit-identical.
     """
     if g1.dim != g2.dim:
         raise ValueError("graphs have different spatial dimensions")
-    if g1.ctx != g2.ctx:
+    if g1.ctx.mode != g2.ctx.mode or (g1.ctx.mode == FLOAT and g1.ctx.eps != g2.ctx.eps):
         raise ModeMismatchError("cannot compare graphs in different numeric modes or tolerances")
     if grp is not None and grp.dim != g1.dim:
         raise ValueError("group dimension does not match the graphs")
@@ -115,9 +113,8 @@ def _pair(
     if g1.ctx.mode == EXACT:
         m = lcm(*(c.denominator for g in (g1, g2) for v in chain(g.positions, *g.vectors) for c in v))
     else:
-        ranges = (max(axis) - min(axis) for g in (g1, g2) for axis in zip(*g.positions))
         comps = (abs(c) for g in (g1, g2) for v in chain(*g.vectors) for c in v)
-        e = frexp(max(chain(ranges, comps), default=0.0))[1]
+        e = _extent_exponent((g1.positions, g2.positions), comps)
     if m == 1 and e == 0:
         return g1, g2  # a factor of 1 keeps the callers' graphs
 
@@ -203,10 +200,7 @@ def _refine(
 
 
 def _run(
-    g1: GeometricGraph,
-    g2: GeometricGraph,
-    grp: Optional[GroupSpec],
-    max_iters: Optional[int],
+    g1: GeometricGraph, g2: GeometricGraph, grp: Optional[GroupSpec], max_iters: Optional[int],
     colours: Callable[[GeometricGraph, OrbitRegistry], Iterator[List[int]]],
     stable_exit: bool = True,
 ) -> Tuple[Verdict, RefinementTrace]:

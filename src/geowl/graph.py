@@ -13,6 +13,7 @@ import json
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import frexp, inf, ldexp
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -226,13 +227,10 @@ def build_radial_graph(points, r, mode: Optional[str] = None, eps: float = DEFAU
     r = g.ctx.coerce(r)
     if not r > 0:  # strictly, at any unit of length
         raise GraphError("cutoff radius must be positive")
-    edges, coincident = _cutoff_edges(g, r * r)
+    edges, coincident = _cutoff_edges(g, r, squared=False)
     if coincident:
-        warnings.warn(
-            "coincident points in radial-cutoff input: distance 0 produces no edge",
-            CoincidentPointsWarning,
-            stacklevel=2,
-        )
+        msg = "coincident points in radial-cutoff input: distance 0 produces no edge"
+        warnings.warn(msg, CoincidentPointsWarning, stacklevel=2)
     return replace(g, edges=edges)
 
 
@@ -240,23 +238,35 @@ def with_cutoff_sq(g: GeometricGraph, r_sq) -> GeometricGraph:
     """The same graph re-edged by squared radial cutoff: i ~ j iff
     0 < |x_i - x_j|^2 <= r_sq. Coincident points get no edge and no
     warning here."""
-    return replace(g, edges=_cutoff_edges(g, r_sq)[0])
+    return replace(g, edges=_cutoff_edges(g, r_sq, squared=True)[0])
 
 
-def _cutoff_edges(g: GeometricGraph, r_sq) -> Tuple[frozenset, bool]:
-    """The one squared-cutoff rule: the pairs i < j with 0 < d2 <= r_sq,
-    d2 = |x_i - x_j|^2, and whether some d2 is 0. Squares keep exact mode
-    exact and admit irrational radii; float mode tests d2 / r_sq against 0
-    and 1, within eps of the cutoff itself, whatever the unit."""
-    ctx, edges, coincident = g.ctx, set(), False
-    rel = ctx.mode == FLOAT and r_sq > 0
+def _extent_exponent(position_sets, magnitudes=()) -> int:
+    """The `frexp` exponent of an extent: the largest coordinate range of
+    one position set on any axis (so translation is free) or magnitude."""
+    ranges = (max(axis) - min(axis) for ps in position_sets for axis in zip(*ps))
+    return frexp(max((*ranges, *magnitudes), default=0.0))[1]
+
+
+def _cutoff_edges(g: GeometricGraph, cut, squared: bool) -> Tuple[frozenset, bool]:
+    """The one cutoff rule: pairs i < j with 0 < d2 = |x_i - x_j|^2 <= r_sq,
+    r_sq = cut if squared else cut^2, and whether some d2 is 0. Squares keep
+    exact mode exact and admit irrational radii. Float mode first scales the
+    points and cutoff by 2^-e (e of the points' extent), so no square over-
+    or underflows: d2 is 0 within eps of the extent, <= r_sq within eps of r_sq."""
+    ctx, pos, edges, coincident = g.ctx, g.positions, set(), False
+    if ctx.mode == FLOAT:
+        e = _extent_exponent((pos,))
+        pos = [tuple(ldexp(c, -e) for c in x) for x in pos]
+        k = -2 * e if squared else -e
+        cut = ldexp(cut, k) if frexp(cut)[1] + k < 1024 else inf  # ldexp raises past 2^1024
+    r_sq = cut if squared else cut * cut
     for i in range(g.n):
         for j in range(i + 1, g.n):
-            d2 = linalg.norm_sq(g.rel_vec(i, j))
-            d2, top = (d2 / r_sq, 1.0) if rel else (d2, r_sq)
+            d2 = linalg.norm_sq(linalg.vsub(pos[i], pos[j]))
             if ctx.is_zero(d2):
                 coincident = True
-            elif ctx.le(d2, top):
+            elif ctx.le(d2, r_sq) if ctx.mode == EXACT else r_sq > 0 and ctx.le(d2 / r_sq, 1.0):
                 edges.add((i, j))
     return frozenset(edges), coincident
 

@@ -52,8 +52,8 @@ def geometric_isomorphism_oracle(
     full orthogonal matrix generally leaves the rationals).
 
     The search runs on the pair `engines._pair` returns, both graphs scaled
-    exactly by one factor, so its matrix is also the one for the caller's
-    graphs; the translation is taken from the caller's graphs.
+    exactly by one factor, so its matrix holds for the caller's graphs; the
+    translation comes from the caller's centroids.
     """
     h1, h2 = _pair(g1, g2, grp)
     if cap < 0:

@@ -244,6 +244,12 @@ def test_every_pair_entry_point_keeps_one_contract(name, o2):
     for a, b in ((fine, coarse), (coarse, fine)):
         with pytest.raises(ModeMismatchError):
             run(a, b, o2)
+    loose = geometric_graph(2, tri, edges, mode="exact", eps=1e-3)
+    if name == "so2":  # the SO(2) hash reads eps in every mode
+        with pytest.raises(ModeMismatchError):
+            run(exact, loose, o2)
+    else:  # exact comparisons read no eps
+        run(exact, loose, o2)
     if name not in ("wl", "so2"):  # the engines that take a group
         with pytest.raises(ValueError) as err:
             run(exact, exact, GroupSpec("O", 3))

@@ -112,6 +112,40 @@ def test_float_cutoff_is_decided_at_the_cutoffs_own_scale(k):
     assert g.edges == frozenset({(0, 1)})
 
 
+ALL3 = {(0, 1), (0, 2), (1, 2)}
+
+
+@pytest.mark.parametrize(
+    "xs, r, want",
+    [
+        ((0.0, 1.0, 3.0), 1e5, ALL3),  # a cutoff far above the spacing
+        ((0.0, 1.0, 3.0), 1e200, ALL3),  # r * r overflows
+        ((0.0, 1e-300, 3e-300), 1e300, ALL3),  # so would r scaled to the points
+        ((0.0, 1e200, 3e200), 1.5e200, {(0, 1)}),  # so do the squared distances
+        ((0.0, 1e-200, 3e-200), 1.5e-200, {(0, 1)}),  # r * r underflows
+        ((0.0, 1.0, 3.0), 1e-200, set()),  # a cutoff far below the spacing
+    ],
+)
+def test_float_coincidence_is_decided_at_the_points_own_scale(xs, r, want):
+    # coincidence used to be decided on d2 / r_sq, so points 1 apart under a
+    # cutoff of 1e5 counted as coincident and got no edge
+    pts = [((0,), (), (x, 0.0)) for x in xs]
+    bare = geometric_graph(2, [p[2] for p in pts], (), [p[0] for p in pts], mode="float")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_radial_graph(pts, r, mode="float")
+        if 0 < r * r < math.inf:
+            assert with_cutoff_sq(bare, r * r) == g
+    assert g.edges == frozenset(want)
+
+
+def test_float_points_coincide_within_eps_of_their_extent():
+    pts = [((0,), (), (x, 0.0)) for x in (0.0, 1e-20, 1.0)]
+    with pytest.warns(CoincidentPointsWarning):
+        g = build_radial_graph(pts, 1e5, mode="float")
+    assert g.edges == frozenset({(0, 2), (1, 2)})
+
+
 @pytest.mark.parametrize("edge", [(-1, 0), (0, 2), (1, 7)])
 def test_edge_index_out_of_range(edge):
     with pytest.raises(GraphError, match="out of range"):
