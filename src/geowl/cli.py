@@ -17,7 +17,7 @@ import warnings
 from typing import List, Optional
 
 from . import engines, generators, properties, so2
-from .graph import GeometricGraph, GroupSpec, dump_graph, load_graph
+from .graph import GeometricGraph, GroupSpec, as_float, dump_graph, load_graph
 from .numeric import DEFAULT_EPS
 from .oracle import OracleCapExceeded, geometric_isomorphism_oracle
 
@@ -176,10 +176,8 @@ def cmd_table(args) -> int:
         lines.append("| L | rotated copies under GWL/SO(2) |")
         lines.append("|---|--------------------------------|")
         for L in range(lo, hi + 1):
-            ga = generators.gen_lfold(L, 0.0)
+            ga = as_float(generators.gen_lfold(L, 0.0))  # gb is float
             gb = generators.gen_lfold(L, math.pi / L)
-            if ga.ctx.mode != gb.ctx.mode:
-                ga = generators.gen_lfold(L, 1e-12)  # force float on both sides
             verdict, _ = engines.run_gwl(ga, gb, GroupSpec("SO", 2))
             lines.append(f"| {L} | {_verdict_word(verdict)} |")
     lines.append("")

@@ -26,7 +26,6 @@ from .numeric import (
     Vec,
     format_component,
     infer_mode,
-    parse_component,
 )
 
 
@@ -244,8 +243,11 @@ def with_cutoff_sq(g: GeometricGraph, r_sq) -> GeometricGraph:
 def _extent_exponent(position_sets, magnitudes=()) -> int:
     """The `frexp` exponent of an extent: the largest coordinate range of
     one position set on any axis (so translation is free) or magnitude."""
-    ranges = (max(axis) - min(axis) for ps in position_sets for axis in zip(*ps))
-    return frexp(max((*ranges, *magnitudes), default=0.0))[1]
+    axes = [axis for ps in position_sets for axis in zip(*ps)]
+    extent = max((*(max(a) - min(a) for a in axes), *magnitudes), default=0.0)
+    if extent == inf:  # a range past the float maximum: halve its ends first
+        return frexp(max(max(a) / 2 - min(a) / 2 for a in axes))[1] + 1
+    return frexp(extent)[1]
 
 
 def _cutoff_edges(g: GeometricGraph, cut, squared: bool) -> Tuple[frozenset, bool]:
@@ -287,6 +289,16 @@ def check_orthogonal(matrix: Sequence[Vec], ctx: NumericContext, dim: int) -> No
                 raise GraphError("matrix is not orthogonal within the numeric tolerance")
 
 
+def as_float(g: GeometricGraph) -> GeometricGraph:
+    """The one exact-to-float demotion: g in float mode at its own eps (g
+    itself when it is float already)."""
+    if g.ctx.mode == FLOAT:
+        return g
+    ctx = NumericContext(FLOAT, g.ctx.eps)
+    sets = [tuple(tuple(map(ctx.coerce, v)) for v in vs) for vs in (g.positions, *g.vectors)]
+    return replace(g, ctx=ctx, positions=sets[0], vectors=tuple(sets[1:]))
+
+
 def apply_isometry(g: GeometricGraph, w: IsometryWitness) -> GeometricGraph:
     """Relabel nodes and rigidly move the geometry.
 
@@ -299,31 +311,26 @@ def apply_isometry(g: GeometricGraph, w: IsometryWitness) -> GeometricGraph:
     perm = w.permutation
     if sorted(perm) != list(range(g.n)):
         raise GraphError("permutation is not a bijection on the node set")
-    ctx = g.ctx
-    if ctx.mode == EXACT and not _witness_is_exact(w):
+    if g.ctx.mode == EXACT and not _witness_is_exact(w):
         warnings.warn(
             "irrational isometry applied to an exact graph: result demoted to float mode",
             UserWarning,
             stacklevel=2,
         )
-        ctx = NumericContext(FLOAT, ctx.eps)
-
+        g = as_float(g)
+    ctx = g.ctx
     q = tuple(tuple(ctx.coerce(c) for c in row) for row in w.matrix)
     t = tuple(ctx.coerce(c) for c in w.translation)
     check_orthogonal(q, ctx, g.dim)
-
-    def conv(vec: Vec) -> Vec:
-        return tuple(ctx.coerce(c) for c in vec)
-
     n = g.n
     pos: List[Optional[Vec]] = [None] * n
     scal: List[tuple] = [()] * n
     vecs: List[Tuple[Vec, ...]] = [()] * n
     for i in range(n):
         j = perm[i]
-        pos[j] = linalg.vadd(linalg.matvec(q, conv(g.positions[i])), t)
+        pos[j] = linalg.vadd(linalg.matvec(q, g.positions[i]), t)
         scal[j] = g.scalars[i]
-        vecs[j] = tuple(linalg.matvec(q, conv(v)) for v in g.vectors[i])
+        vecs[j] = tuple(linalg.matvec(q, v) for v in g.vectors[i])
     edges = frozenset((min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in g.edges)
     return GeometricGraph(
         dim=g.dim, ctx=ctx, scalars=tuple(scal), vectors=tuple(vecs),
@@ -415,6 +422,7 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
         raise GraphFormatError(f"unknown numeric mode {mode!r}")
     if not isinstance(raw_nodes, list):
         raise GraphFormatError("nodes must be a JSON list of node objects")
+    ctx = NumericContext(mode, eps)
     points = []
     for k, node in enumerate(raw_nodes):
         try:
@@ -424,9 +432,9 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
                 isinstance(vec, list) for vec in v
             ):
                 raise TypeError("x, s, v and each vector in v must be JSON lists")
-            x = tuple(parse_component(c, mode) for c in x)
+            x = tuple(map(ctx.coerce, x))
             s = tuple(s)
-            v = tuple(tuple(parse_component(c, mode) for c in vec) for vec in v)
+            v = tuple(tuple(map(ctx.coerce, vec)) for vec in v)
         except (KeyError, TypeError, NumericError) as exc:
             raise GraphFormatError(f"bad node {k}: {exc}") from exc
         if any(len(vec) != dim for vec in (x,) + v):
@@ -438,7 +446,7 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
         if "edges" in data:
             raise GraphFormatError("give either 'edges' or 'cutoff', not both")
         try:
-            r = parse_component(data["cutoff"], mode)
+            r = ctx.coerce(data["cutoff"])
         except NumericError as exc:
             raise GraphFormatError(f"bad cutoff: {exc}") from exc
         return build_radial_graph(points, r, mode=mode, eps=eps)

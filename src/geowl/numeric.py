@@ -1,10 +1,11 @@
 """Exact-or-float numeric backbone.
 
-Every coordinate comparison in the library routes through a
-:class:`NumericContext`, so a graph (and any compared pair of graphs)
-uses one policy throughout: exact rational equality on ``Fraction``
-payloads, or the relative-then-absolute float tolerance
-``|a - b| <= eps * max(1, |a|, |b|)``.
+A graph (and any compared pair of graphs) uses one policy throughout:
+exact rational equality on ``Fraction`` payloads, or the relative-then-
+absolute float tolerance ``|a - b| <= eps * max(1, |a|, |b|)``. Every raw
+component enters a mode through :meth:`NumericContext.coerce`, and every
+coordinate comparison routes through a context, except the SO(2) hash's
+rotation scan, which keeps its own bands (ROADMAP items 3 and 15).
 """
 from __future__ import annotations
 
@@ -45,17 +46,26 @@ class NumericContext:
             raise NumericError("tolerance must be a positive finite number")
 
     def coerce(self, value) -> Number:
-        """Bring a raw component into this context's payload type."""
-        if self.mode == EXACT:
-            if isinstance(value, float):
-                raise NumericError(
-                    f"float component {value!r} is not representable in exact mode"
-                )
-            value = Fraction(value)
-            # integral values stay plain ints: exact arithmetic on ints is
-            # far cheaper than on Fractions, and the two compare/hash equal
-            return int(value) if value.denominator == 1 else value
-        return _finite_float(value)
+        """The one reader of a raw component into this context's payload:
+        exact mode reads ints, Fractions and 'p/q' strings, float mode
+        ints, floats and Fractions. Neither reads bools: JSON true/false
+        are not numbers, although Python reads them as 1/0."""
+        if isinstance(value, bool):
+            raise NumericError(f"component must be a number, not {str(value).lower()}")
+        if self.mode == FLOAT:
+            if not isinstance(value, (int, float, Fraction)):
+                raise NumericError(f"float component must be a number, got {value!r}")
+            return _finite_float(value)
+        if isinstance(value, str):
+            try:
+                value = Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise NumericError(f"bad rational literal {value!r}: {exc}") from exc
+        elif not isinstance(value, (int, Fraction)):
+            raise NumericError(f"exact component must be 'p/q' or int, got {value!r}")
+        # integral values stay plain ints: exact arithmetic on ints is
+        # far cheaper than on Fractions, and the two compare/hash equal
+        return int(value) if value.denominator == 1 else value
 
     def eq(self, a: Number, b: Number) -> bool:
         if self.mode == EXACT:
@@ -99,25 +109,6 @@ def infer_mode(values: Iterable) -> str:
         if not isinstance(v, (int, Fraction)):
             raise NumericError(f"unsupported component type: {type(v).__name__}")
     return EXACT
-
-
-def parse_component(raw, mode: str) -> Number:
-    """Parse a JSON component: 'p/q' strings in exact mode, numbers otherwise.
-    JSON true/false are not numbers, although Python reads them as 1/0."""
-    if isinstance(raw, bool):
-        raise NumericError(f"component must be a number, not {str(raw).lower()}")
-    if mode == EXACT:
-        if isinstance(raw, str):
-            try:
-                return Fraction(raw)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise NumericError(f"bad rational literal {raw!r}: {exc}") from exc
-        if isinstance(raw, int):
-            return Fraction(raw)
-        raise NumericError(f"exact component must be 'p/q' or int, got {raw!r}")
-    if isinstance(raw, (int, float)):
-        return _finite_float(raw)
-    raise NumericError(f"float component must be a number, got {raw!r}")
 
 
 def _finite_float(raw) -> float:

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 from . import linalg
 from .graph import GeometricGraph
-from .numeric import Vec
+from .numeric import EXACT, Vec
 
 
 class DegenerateGeometryError(ValueError):
@@ -55,7 +55,7 @@ class PropertyReport:
 
 def centroid(g: GeometricGraph) -> Vec:
     n = g.n
-    inv = Fraction(1, n) if g.ctx.mode == "exact" else 1.0 / n
+    inv = Fraction(1, n) if g.ctx.mode == EXACT else 1.0 / n
     acc = list(g.positions[0])
     for x in g.positions[1:]:
         acc = [a + c for a, c in zip(acc, x)]
@@ -114,7 +114,7 @@ def dihedral_cos(g: GeometricGraph, l: int, j: int, k: int, m: int):
     if ctx.is_zero(q1) or ctx.is_zero(q2):
         raise DegenerateGeometryError("collinear triple: dihedral plane is undefined")
     num = linalg.dot(n1, n2)
-    if ctx.mode == "exact":
+    if ctx.mode == EXACT:
         sign = 0 if num == 0 else (1 if num > 0 else -1)
         return Fraction(sign * num * num, q1 * q2)
     return num / math.sqrt(q1 * q2)

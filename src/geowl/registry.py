@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Tuple
 
-from .numeric import NumericContext
+from .numeric import EXACT, NumericContext
 from .objects import norm_profile, orbit_equal, skeleton
 
 
@@ -47,7 +47,7 @@ class OrbitRegistry:
 
     def intern_orbit(self, obj) -> int:
         """Colour for a geometric object, injective on O/SO orbits."""
-        profile = norm_profile(obj, self.ctx) if self.ctx.mode == "exact" else None
+        profile = norm_profile(obj, self.ctx) if self.ctx.mode == EXACT else None
         bucket = self._orbits.setdefault((skeleton(obj), profile), [])
         for rep, colour in bucket:
             if orbit_equal(rep, obj, self.ctx, self.dim, self.proper):
@@ -63,7 +63,7 @@ class OrbitRegistry:
         float descriptors carry floats that must compare through the
         tolerance, so matching falls back to a linear scan.
         """
-        if self.ctx.mode == "exact":
+        if self.ctx.mode == EXACT:
             c = self._keys.get(bag)
             if c is None:
                 c = self._keys[bag] = self._fresh()

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .engines import RefinementTrace, Verdict, _default_cap, _pair, _refine
-from .graph import GeometricGraph, ModeMismatchError
-from .numeric import DEFAULT_EPS, FLOAT, float_context
+from .engines import RefinementTrace, Verdict, _run, _scalar_colours
+from .graph import GeometricGraph, as_float
+from .numeric import DEFAULT_EPS
 from .registry import OrbitRegistry
 
 TWO_PI = 2 * math.pi
@@ -179,38 +179,31 @@ def run_so2_gwl(
     result by a scalar-colour factor; step two folds a node's edge messages
     into one vector; later steps fold neighbour messages. Verdicts compare
     histograms of the message norms (the orbit codes), with the usual
-    stopping rules. The pair must share one tolerance but may mix modes
-    (both are read as floats); only a float pair takes `engines._pair`'s
-    scale.
+    stopping rules. Both graphs are read as floats (`graph.as_float`), so
+    the pair may mix modes but must share one tolerance, and it takes the
+    engines' pair step and its float scale.
     """
     if g1.dim != 2 or g2.dim != 2:
         raise ValueError("this refinement is defined for d = 2 only")
-    if g1.ctx.eps != g2.ctx.eps:
-        raise ModeMismatchError("cannot compare graphs with different tolerances")
-    if g1.ctx.mode == g2.ctx.mode == FLOAT:
-        g1, g2 = _pair(g1, g2, None)
-    if max_iters is None:
-        max_iters = _default_cap(g1, g2, geometric=False)
-    reg = so2_registry(g1.ctx.eps)
-    col = OrbitRegistry(float_context(reg.eps), 2, proper=False).intern_key
+    orbits = so2_registry(g1.ctx.eps)
 
-    def colours(g: GeometricGraph) -> Iterator[List[int]]:
-        c = [col(("s", g.scalars[i])) for i in range(g.n)]
+    def colours(g: GeometricGraph, reg: OrbitRegistry) -> Iterator[List[int]]:
+        c = _scalar_colours(g, reg)
         yield c
         state = []
         for v in range(g.n):
             edge_msgs = []
             for u in g.neighbors(v):
-                h = so2_hash([g.rel_vec(v, u)], reg)
-                factor = 1.0 + col(("m0", c[v], c[u], h.orbit_code))
+                h = so2_hash([g.rel_vec(v, u)], orbits)
+                factor = 1.0 + reg.intern_key(("m0", c[v], c[u], h.orbit_code))
                 edge_msgs.append((factor * h.vector[0] / h.norm, factor * h.vector[1] / h.norm))
             state.append(edge_msgs)
         while True:
-            hashes = [so2_hash(s, reg) for s in state]
-            yield [col(("orbit", h.orbit_code)) for h in hashes]
+            hashes = [so2_hash(s, orbits) for s in state]
+            yield [reg.intern_key(("orbit", h.orbit_code)) for h in hashes]
             state = [[hashes[u].vector for u in g.neighbors(v)] for v in range(g.n)]
 
-    return _refine(g1, g2, max_iters, colours)
+    return _run(as_float(g1), as_float(g2), None, max_iters, colours)
 
 
 def equivariant_sum_demo(X) -> Tuple[float, float]:

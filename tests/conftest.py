@@ -34,6 +34,15 @@ def float_graph(positions, edges=(), scalars=None, vectors=None):
     )
 
 
+def tiny_right_triangles(unit=Fraction(1, 10**10)):
+    """Exact right triangles with legs (1, 1) and (3, 1) times unit, all
+    three edges; at the default unit the legs lie far below sqrt(eps)."""
+    return tuple(
+        exact_graph([(0, 0), (a * unit, 0), (0, unit)], [(0, 1), (0, 2), (1, 2)])
+        for a in (1, 3)
+    )
+
+
 def connected_cutoff(cloud):
     """Re-edge a cloud with the smallest cutoff that keeps it connected."""
     r2 = mst_bottleneck_sq(cloud.positions)

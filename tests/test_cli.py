@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import tiny_right_triangles
+
 import geowl
 from geowl import gen_kchain, gen_random_cloud, apply_isometry, random_isometry
 from geowl.cli import (
@@ -206,6 +208,7 @@ def input_files(tmp_path):
         "2d": exact_graph(square, edges=[(0, 1), (1, 2)]),
         "3d": exact_graph([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)], edges=[(0, 1)]),
         "float": float_graph(square, edges=[(0, 1), (1, 2)]),
+        "huge": exact_graph([(0, 0), (10**400, 0)], edges=[(0, 1)]),  # past the float range
     }
     paths = {"dir": str(tmp_path)}
     for name, g in graphs.items():
@@ -228,11 +231,12 @@ def input_files(tmp_path):
         ["gen", "lfold", "--L", "3", "--alpha", "nan", "--out", "{dir}"],
         ["distinguish", "{dir}", "{dir}"],
         ["distinguish", "{not_utf8}", "{not_utf8}"],
+        ["distinguish", "{huge}", "{huge}", "--test", "so2"],
     ],
     ids=[
         "iso-dims", "iso-modes", "so2-refine-dims", "so2-refine-max-iters-0",
         "props-dihedral-not-int", "props-dihedral-range", "gen-lfold-alpha-nan",
-        "distinguish-directory", "distinguish-not-utf8",
+        "distinguish-directory", "distinguish-not-utf8", "so2-past-float-range",
     ],
 )
 def test_bad_argument_or_unreadable_file_is_input_error(input_files, capsys, argv):
@@ -433,6 +437,17 @@ def test_so2_subcommands(tmp_path, capsys):
     assert "4" in capsys.readouterr().out
     assert main(["so2", "hash", str(a)]) == EXIT_SAME
     assert main(["so2", "refine", str(a), str(a)]) == EXIT_SAME
+
+
+def test_so2_separates_tiny_exact_right_triangles(tmp_path, capsys):
+    # exact pairs used to skip the pair step's scale under so2, so legs far
+    # below sqrt(eps) fell inside its absolute norm band
+    paths = [str(tmp_path / f"{name}.json") for name in "ab"]
+    for g, path in zip(tiny_right_triangles(), paths):
+        dump_graph(g, path)
+    for test in ("so2", "gwl"):
+        assert main(["distinguish", *paths, "--test", test]) == EXIT_DIFFERENT
+    assert main(["iso", *paths]) == EXIT_DIFFERENT
 
 
 @pytest.mark.parametrize("tolerance, code", [("1e-3", EXIT_SAME), ("1e-9", EXIT_DIFFERENT)])

@@ -7,7 +7,7 @@ import itertools
 from fractions import Fraction
 from math import ldexp
 
-from conftest import connected_cutoff
+from conftest import connected_cutoff, tiny_right_triangles
 from test_canon import rotate_obj
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,8 +199,7 @@ def test_float_verdicts_do_not_depend_on_a_power_of_two_unit(data, unit, k, vari
     g1, g2 = data.draw(near_copies(2))
     grp = GroupSpec(variant, 2)
 
-    def answers(k):
-        a, b = float_scaled(g1, unit, k), float_scaled(g2, unit, k)
+    def answers(a, b):
         return [
             run_wl(a, b),
             run_gwl(a, b, grp),
@@ -210,4 +209,11 @@ def test_float_verdicts_do_not_depend_on_a_power_of_two_unit(data, unit, k, vari
             geometric_isomorphism_oracle(a, b, grp)[0],
         ]
 
-    assert answers(k) == answers(0)
+    def floats(k):
+        return answers(float_scaled(g1, unit, k), float_scaled(g2, unit, k))
+
+    def triangles(k):  # exact, so read as floats by the SO(2) hash alone
+        return answers(*tiny_right_triangles(Fraction(2) ** k / 10**10))
+
+    assert floats(k) == floats(0)
+    assert triangles(k) == triangles(0)

@@ -9,6 +9,8 @@ import pytest
 
 from conftest import exact_graph, float_graph, rotation_2d
 
+from geowl import GroupSpec, geometric_isomorphism_oracle, run_gwl
+
 from geowl.graph import (
     CoincidentPointsWarning,
     GeometricGraph,
@@ -137,6 +139,19 @@ def test_float_coincidence_is_decided_at_the_points_own_scale(xs, r, want):
         if 0 < r * r < math.inf:
             assert with_cutoff_sq(bare, r * r) == g
     assert g.edges == frozenset(want)
+
+
+@pytest.mark.parametrize("variant", ["O", "SO"])
+def test_a_range_past_the_float_maximum_is_scaled(variant):
+    # the range 3.4e308 reads as inf, whose frexp exponent is 0: the points
+    # went unscaled and their squared distances overflowed
+    pts = [((0,), (), (x, 0.0)) for x in (-1.7e308, 0.0, 1.7e308)]
+    assert build_radial_graph(pts, 1.7e308, mode="float").edges == frozenset({(0, 1), (1, 2)})
+    path = float_graph([(-1.7e308, 0), (0, 0), (1.7e308, 1)], [(0, 1), (1, 2)])
+    turned = apply_isometry(path, IsometryWitness((0, 1, 2), ((-1, 0), (0, -1)), (0, 0)))
+    grp = GroupSpec(variant, 2)
+    assert not run_gwl(path, turned, grp)[0].distinguished
+    assert geometric_isomorphism_oracle(path, turned, grp)[0]
 
 
 def test_float_points_coincide_within_eps_of_their_extent():

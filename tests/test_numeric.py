@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from geowl import geometric_graph
 from geowl.numeric import (
     FragileComparisonWarning,
     NumericContext,
@@ -11,7 +12,6 @@ from geowl.numeric import (
     float_context,
     format_component,
     infer_mode,
-    parse_component,
 )
 
 
@@ -41,16 +41,17 @@ def test_fragile_comparison_warns_in_the_10eps_band():
 
 
 def test_parse_and_format_round_trip():
-    assert parse_component("3/4", "exact") == Fraction(3, 4)
-    assert parse_component("-2", "exact") == Fraction(-2)
-    assert parse_component(5, "exact") == Fraction(5)
+    exact, flt = exact_context(), float_context()
+    assert exact.coerce("3/4") == Fraction(3, 4)
+    assert exact.coerce("-2") == Fraction(-2)
+    assert exact.coerce(5) == Fraction(5)
     assert format_component(Fraction(3, 4), "exact") == "3/4"
-    assert parse_component(0.25, "float") == 0.25
+    assert flt.coerce(0.25) == 0.25
     assert format_component(0.25, "float") == 0.25
     with pytest.raises(NumericError):
-        parse_component("1.5x", "exact")
+        exact.coerce("1.5x")
     with pytest.raises(NumericError):
-        parse_component(0.1, "exact")  # non-rational input in exact mode
+        exact.coerce(0.1)  # non-rational input in exact mode
 
 
 def test_infer_mode():
@@ -64,6 +65,16 @@ def test_context_coerce():
     assert isinstance(float_context().coerce(Fraction(1, 2)), float)
     with pytest.raises(NumericError):
         exact_context().coerce(0.5)
+    # JSON true/false are not numbers in either mode, and only exact mode
+    # reads 'p/q' strings
+    with pytest.raises(NumericError, match="not true"):
+        exact_context().coerce(True)
+    with pytest.raises(NumericError, match="not false"):
+        float_context().coerce(False)
+    with pytest.raises(NumericError, match="must be a number"):
+        float_context().coerce("1.5")
+    with pytest.raises(NumericError):
+        geometric_graph(1, [(True,)])
 
 
 def test_mode_validation():

@@ -11,6 +11,10 @@ be a second independence test.
 Library code keeps no state of its own between calls beyond the listed
 module-level caches, and changes no interpreter-global state: a caller's
 recursion limit, warning filters, random seed and environment are its own.
+
+A number enters a numeric mode in `numeric.py` (`NumericContext.coerce`)
+and `graph.py` (the loader, `graph.as_float`) alone, so no other module
+makes a context, except the one shared exact context `objects._EXACT`.
 """
 import ast
 from pathlib import Path
@@ -165,3 +169,24 @@ def test_det_is_called_only_in_linalg():
             if isinstance(node, ast.Call) and (dotted(node.func) or "").split(".")[-1] == "det":
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls and all(c.startswith("linalg.py:") for c in calls), calls
+
+
+CONTEXT_MAKERS = {"NumericContext", "exact_context", "float_context"}
+
+
+def test_numeric_contexts_are_made_only_where_numbers_enter_a_mode():
+    made = []
+    for path in SOURCES:
+        if path.name in ("numeric.py", "graph.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        dotted = _dotted_name_of(tree)
+        module_level = {
+            id(stmt.value): f"{path.stem}.{ast.unparse(stmt.targets[0])}"
+            for stmt in tree.body
+            if isinstance(stmt, ast.Assign)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (dotted(node.func) or "").split(".")[-1] in CONTEXT_MAKERS:
+                made.append(module_level.get(id(node), f"{path.name}:{node.lineno}"))
+    assert made == ["objects._EXACT"], made
