@@ -13,12 +13,13 @@ configurations: it is pinned to zero by any nontrivial symmetry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .engines import RefinementTrace, Verdict, _run, _scalar_colours
 from .graph import GeometricGraph, as_float
-from .numeric import DEFAULT_EPS
+from .numeric import DEFAULT_EPS, EXACT
 from .registry import OrbitRegistry
 
 TWO_PI = 2 * math.pi
@@ -170,6 +171,23 @@ def so2_hash(X, reg: So2Registry) -> So2Hash:
     )
 
 
+def _as_floats(g1: GeometricGraph, g2: GeometricGraph) -> Tuple[GeometricGraph, ...]:
+    """The pair as floats. Before `as_float`, each exact graph moves its min
+    corner to the origin and sheds its unread vectors, and an exact pair is
+    scaled by the power of two that brings its extent near 1, all exactly:
+    rounding then stays relative to the extent wherever the input lies."""
+    top = max((max(a) - min(a) for g in (g1, g2) for a in zip(*g.positions)), default=0)
+    exact = g1.ctx.mode == g2.ctx.mode == EXACT and top
+    s = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length()) if exact else 1
+
+    def moved(g: GeometricGraph) -> GeometricGraph:
+        lo = [min(a) for a in zip(*g.positions)]
+        pos = tuple(tuple((c - o) * s for c, o in zip(x, lo)) for x in g.positions)
+        return as_float(replace(g, positions=pos, vectors=((),) * g.n))
+
+    return tuple(moved(g) if g.ctx.mode == EXACT else g for g in (g1, g2))
+
+
 def run_so2_gwl(
     g1: GeometricGraph, g2: GeometricGraph, max_iters: Optional[int] = None
 ) -> Tuple[Verdict, RefinementTrace]:
@@ -179,8 +197,8 @@ def run_so2_gwl(
     result by a scalar-colour factor; step two folds a node's edge messages
     into one vector; later steps fold neighbour messages. Verdicts compare
     histograms of the message norms (the orbit codes), with the usual
-    stopping rules. Both graphs are read as floats (`graph.as_float`), so
-    the pair may mix modes but must share one tolerance, and it takes the
+    stopping rules. Both graphs are read as floats (`_as_floats`), so the
+    pair may mix modes but must share one tolerance, and it takes the
     engines' pair step and its float scale.
     """
     if g1.dim != 2 or g2.dim != 2:
@@ -203,7 +221,7 @@ def run_so2_gwl(
             yield [reg.intern_key(("orbit", h.orbit_code)) for h in hashes]
             state = [[hashes[u].vector for u in g.neighbors(v)] for v in range(g.n)]
 
-    return _run(as_float(g1), as_float(g2), None, max_iters, colours)
+    return _run(*_as_floats(g1, g2), None, max_iters, colours)
 
 
 def equivariant_sum_demo(X) -> Tuple[float, float]:

@@ -5,11 +5,12 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import tiny_right_triangles
+from conftest import exact_graph, tiny_right_triangles
 
 import geowl
 from geowl import gen_kchain, gen_random_cloud, apply_isometry, random_isometry
@@ -208,7 +209,7 @@ def input_files(tmp_path):
         "2d": exact_graph(square, edges=[(0, 1), (1, 2)]),
         "3d": exact_graph([(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)], edges=[(0, 1)]),
         "float": float_graph(square, edges=[(0, 1), (1, 2)]),
-        "huge": exact_graph([(0, 0), (10**400, 0)], edges=[(0, 1)]),  # past the float range
+        "huge": exact_graph([(0, 0), (10**400, 0)], edges=[(0, 1)]),  # extent past the float range
     }
     paths = {"dir": str(tmp_path)}
     for name, g in graphs.items():
@@ -231,12 +232,12 @@ def input_files(tmp_path):
         ["gen", "lfold", "--L", "3", "--alpha", "nan", "--out", "{dir}"],
         ["distinguish", "{dir}", "{dir}"],
         ["distinguish", "{not_utf8}", "{not_utf8}"],
-        ["distinguish", "{huge}", "{huge}", "--test", "so2"],
+        ["distinguish", "{huge}", "{float}", "--test", "so2"],
     ],
     ids=[
         "iso-dims", "iso-modes", "so2-refine-dims", "so2-refine-max-iters-0",
         "props-dihedral-not-int", "props-dihedral-range", "gen-lfold-alpha-nan",
-        "distinguish-directory", "distinguish-not-utf8", "so2-past-float-range",
+        "distinguish-directory", "distinguish-not-utf8", "so2-mixed-past-float-range",
     ],
 )
 def test_bad_argument_or_unreadable_file_is_input_error(input_files, capsys, argv):
@@ -448,6 +449,29 @@ def test_so2_separates_tiny_exact_right_triangles(tmp_path, capsys):
     for test in ("so2", "gwl"):
         assert main(["distinguish", *paths, "--test", test]) == EXIT_DIFFERENT
     assert main(["iso", *paths]) == EXIT_DIFFERENT
+
+
+def test_so2_never_separates_exact_translated_or_rotated_copies(tmp_path, capsys):
+    # an exact graph is read as floats only after it is moved to the origin
+    # and its pair scaled to an extent near 1: rounding its absolute
+    # positions used to split translates, and rounding subnormal positions
+    # used to split an exact rotation by (3/5, 4/5)
+    def moved(g, scale, rotate=False, shift=0):
+        c, s = (Fraction(3, 5), Fraction(4, 5)) if rotate else (1, 0)
+        xs = [(scale * (c * x - s * y) + shift, scale * (s * x + c * y)) for x, y in g.positions]
+        return exact_graph(xs, sorted(g.edges))
+
+    tri = exact_graph([(0, 0), (1, 0), (0, 1)], [(0, 1), (0, 2), (1, 2)])
+    ring = exact_graph([(0, 0), (7, 0), (2, 3), (5, 9), (1, 6)], [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    pairs = [(tri, moved(tri, 1, shift=t)) for t in (1, 10**16, 10**400)]
+    pairs.append((tiny_right_triangles()[0], moved(tiny_right_triangles()[0], 1, shift=1)))
+    for scale in (Fraction(1, 10**320), 10**400):
+        pairs.append((moved(ring, scale), moved(ring, scale, rotate=True)))
+    for k, (g, h) in enumerate(pairs):
+        paths = [str(tmp_path / f"{k}{name}.json") for name in "ab"]
+        dump_graph(g, paths[0])
+        dump_graph(h, paths[1])
+        assert main(["distinguish", *paths, "--test", "so2"]) == EXIT_SAME, k
 
 
 @pytest.mark.parametrize("tolerance, code", [("1e-3", EXIT_SAME), ("1e-9", EXIT_DIFFERENT)])
