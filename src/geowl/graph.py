@@ -13,7 +13,7 @@ import json
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import frexp, inf, ldexp
+from math import frexp, inf, isfinite, ldexp
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -95,6 +95,11 @@ class GeometricGraph:
             arity = len(self.scalars[0])
             if any(len(s) != arity for s in self.scalars):
                 raise GraphError("scalar tuples must have uniform arity")
+        for i, s in enumerate(self.scalars):
+            # type() rather than isinstance: True must not pass as 1, and a
+            # NaN token would not equal itself
+            if not all(type(t) in (str, int) or type(t) is float and isfinite(t) for t in s):
+                raise GraphError(f"node {i}: scalars must be strings, ints or finite floats")
         for x in self.positions:
             if len(x) != self.dim:
                 raise GraphError("position dimension mismatch")
@@ -439,8 +444,6 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
             raise GraphFormatError(f"bad node {k}: {exc}") from exc
         if any(len(vec) != dim for vec in (x,) + v):
             raise GraphFormatError(f"bad node {k}: every vector must have {dim} components")
-        if not all(type(t) in (str, int, float) for t in s):  # bool is an int subclass
-            raise GraphFormatError(f"bad node {k}: scalars must be strings or numbers")
         points.append((s, v, x))
     if "cutoff" in data:
         if "edges" in data:

@@ -19,10 +19,10 @@ each remaining vector of b to one fixed vector. A vector is then named by
 an integer key, (v.v, v.e_1, ..., v.e_r) with e_i the basis vectors of its
 own side, and u = Qw holds exactly when u and w have equal keys (the
 argument of `GramMatcher`'s docstring). The rest of the two objects is
-decided by dictionary lookups on these keys, with a memo over shared
-sub-objects, and yields at most once. The check runs on entry to a Node
-pair and before each new child but the last: a last child cannot branch,
-and its sub-object is checked on entry. Float mode never pins: under a
+decided by integer labels built from these keys, one per sub-object and
+side, and yields at most once. The check runs on entry to a Node pair and
+before each new child but the last: a last child cannot branch, and its
+sub-object is checked on entry. Float mode never pins: under a
 tolerance a key is not stable, since nearby vectors round to different
 numbers, and equal keys would not bound the error against other vectors.
 """
@@ -142,27 +142,33 @@ class _Search:
     which the map is pinned, and the caches of the pinned state in use.
 
     A pinned state is fixed by the basis vectors of a's side and of b's
-    side, and lasts while the same pairs recur. Within it keys are cached
-    by vector, b's children are bucketed by (colour, key(rel)) once per
-    children tuple, and sub-object results are memoised by (id(a'), id(b')).
-    Every object reached is alive for the whole call, so no id is reused.
+    side. Within it each sub-object of each side gets an integer label, as
+    colour refinement gives one: a call-wide table hands out one int per
+    form, and a Node's form holds its centre's label and its children's
+    labels. By induction on depth, b's object maps onto a's under the
+    pinned map exactly when their labels are equal. A key depends only on
+    its own side's basis, so each side's keys and labels are cached by
+    vector and by id(obj) until that side's basis vectors change. Every
+    object reached is alive for the whole call, so no id is reused.
     """
 
-    __slots__ = ("matcher", "basis", "rank", "_bases", "_keys", "_buckets", "_memo")
+    __slots__ = ("matcher", "basis", "rank", "_bases", "_keys", "_labels", "_forms")
 
     def __init__(self, matcher: GramMatcher, rank: int):
         self.matcher = matcher
         self.basis = matcher.basis
         self.rank = rank
-        self._bases = None
+        self._bases = [None, None]
+        self._keys, self._labels, self._forms = [{}, {}], [{}, {}], {}
 
     def pinned(self) -> "_Search":
-        """Self, with the caches of the pinned state for the current basis
-        pairs: kept while they recur, emptied when they change."""
+        """Self, with each side's caches kept while its basis vectors recur
+        and emptied when they change."""
         m = self.matcher
-        bases = ([m.v1[k] for k in self.basis], [m.v2[k] for k in self.basis])
-        if bases != self._bases:
-            self._bases, self._keys, self._buckets, self._memo = bases, ({}, {}), {}, {}
+        for side, vs in enumerate((m.v1, m.v2)):
+            basis = [vs[k] for k in self.basis]
+            if basis != self._bases[side]:
+                self._bases[side], self._keys[side], self._labels[side] = basis, {}, {}
         return self
 
     def _key(self, v: Vec, side: int) -> tuple:
@@ -173,54 +179,26 @@ class _Search:
             key = cache[v] = (sum(map(mul, v, v)), *dots)
         return key
 
-    def equal(self, a, b) -> bool:
-        """Whether the pinned map sends b onto a, up to the order of children."""
-        if type(a) is not type(b) or a.colour != b.colour:
-            return False
-        if isinstance(a, Leaf):
-            key = self._key
-            return len(a.vectors) == len(b.vectors) and all(
-                key(u, 0) == key(w, 1) for u, w in zip(a.vectors, b.vectors)
-            )
-        if len(a.children) != len(b.children):
-            return False
-        pair = (id(a), id(b))
-        hit = self._memo.get(pair)
-        if hit is None:
-            hit = self.equal(a.obj, b.obj) and self.match(a.children, b.children, set())
-            self._memo[pair] = hit
-        return hit
-
-    def match(self, ac: Tuple[Child, ...], bc: Tuple[Child, ...], taken: set) -> bool:
-        """Whether each child in ac has a distinct partner in bc outside
-        taken that the pinned map sends onto it (taken is filled in as
-        partners are used).
-
-        First fit is exact. Under one map, "it sends b' onto a'" is an
-        equivalence between objects, so the children that a child of a can
-        take, and the children that can take one child of b, form blocks of
-        mutually matching children; greedy assignment fills a block iff its
-        two sides are equally large.
-        """
-        key = self._key
-        buckets = self._buckets.get(id(bc))
-        if buckets is None:
-            buckets = self._buckets[id(bc)] = {}
-            for idx, cb in enumerate(bc):
-                buckets.setdefault((cb.colour, key(cb.rel, 1)), []).append(idx)
-        # every rel is looked up before any sub-object is compared, so a
-        # wrong map is mostly rejected one level down, not at the leaves
-        groups = [buckets.get((ca.colour, key(ca.rel, 0))) for ca in ac]
-        if None in groups:
-            return False
-        for ca, group in zip(ac, groups):
-            for idx in group:
-                if idx not in taken and self.equal(ca.obj, bc[idx].obj):
-                    taken.add(idx)
-                    break
+    def label(self, obj, side: int) -> int:
+        """The int of obj's form on its side: a Leaf's colour and vector
+        keys in order, or a Node's colour, centre label and children. A
+        Leaf's form never holds an int after its colour, so no Leaf shares
+        a label with a Node."""
+        labels = self._labels[side]
+        lab = labels.get(id(obj))
+        if lab is None:
+            if isinstance(obj, Leaf):
+                form = (obj.colour, *[self._key(v, side) for v in obj.vectors])
             else:
-                return False
-        return True
+                form = (obj.colour, self.label(obj.obj, side), self.triples(obj.children, side))
+            lab = labels[id(obj)] = self._forms.setdefault(form, len(self._forms))
+        return lab
+
+    def triples(self, cs: Sequence[Child], side: int) -> tuple:
+        """The sorted (colour, key(rel), label) triples of cs: two bags of
+        children match one to one under the pinned map iff these agree."""
+        key, label = self._key, self.label
+        return tuple(sorted([(c.colour, key(c.rel, side), label(c.obj, side)) for c in cs]))
 
 
 def _align(a, b, s: _Search) -> Iterator[None]:
@@ -247,7 +225,7 @@ def _align(a, b, s: _Search) -> Iterator[None]:
     if len(a.children) != len(b.children):
         return
     if len(s.basis) == s.rank:
-        if s.pinned().equal(a, b):
+        if s.pinned().label(a, 0) == s.label(b, 1):
             yield
         return
     for _ in _align(a.obj, b.obj, s):
@@ -289,7 +267,9 @@ def _align_children(ac: Tuple[Child, ...], bc: Tuple[Child, ...], s: _Search) ->
             yield
         elif k == last or len(basis) != rank:
             stack.append(partners(ac[k]))
-        elif s.pinned().match(ac[k:], bc, set(used)):
+        elif s.pinned().triples(ac[k:], 0) == s.triples(
+            [cb for idx, cb in enumerate(bc) if idx not in used], 1
+        ):
             yield
         # move on to the next alignment of the deepest child started
         while stack:
@@ -312,12 +292,11 @@ def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool) -> bool:
 
     In exact mode the search pins once the matcher's basis reaches the rank
     of a's vectors (the module docstring says why that is exact) and then
-    matches the rest by integer keys: each child of a takes the first
-    unused child of b with its (colour, key) whose sub-object matches too,
-    which is exact on ties as `_Search.match` shows. At full rank every
-    completion of a pinned alignment is the same Q, and below full rank
-    `orientation_ok` is True, so one yield per pinned state suffices. Float
-    mode keeps the generic search.
+    compares the labels of `_Search.label`: equal labels mean the map sends
+    b's sub-object onto a's, so children tied on (colour, key) need no
+    search. At full rank every completion of a pinned alignment is the same
+    Q, and below full rank `orientation_ok` is True, so one yield per pinned
+    state suffices. Float mode keeps the generic search.
     """
     matcher = GramMatcher(ctx, dim, proper)
     # float mode never pins: a basis never has length -1

@@ -337,3 +337,21 @@ def test_coincident_children_with_different_sub_objects(grp):
     # a twin whose sub-object matches neither is still rejected
     odd = Child(5, Leaf(5, (f(2, 1, 0),)), b.children[4].rel)
     assert not orbit_equal(a, Node(0, b.obj, b.children[:4] + (odd,)), CTX, grp.dim, grp.proper)
+
+
+@pytest.mark.parametrize("grp", [O2, SO2], ids=["O", "SO"])
+def test_a_sub_object_shared_by_both_sides_is_labelled_per_side(grp):
+    # the two spanning children pin the map to a turn by -90 degrees, which
+    # does not fix the leaf that both objects' twins hold as one instance
+    shared = Leaf(5, (f(1, 0),))
+
+    def node(rels, twin):
+        colours = (1, 2, 3, 3)
+        leaves = (Leaf(0, ()), Leaf(0, ()), twin, twin)
+        return Node(0, Leaf(0, ()), tuple(Child(c, o, r) for c, o, r in zip(colours, leaves, rels)))
+
+    rels = (f(1, 0), f(0, 2), f(1, 1), f(-1, 1))
+    turned = tuple(f(-r[1], r[0]) for r in rels)
+    assert not orbit_equal(node(rels, shared), node(turned, shared), CTX, grp.dim, grp.proper)
+    turned_leaf = Leaf(5, (f(0, 1),))
+    assert orbit_equal(node(rels, shared), node(turned, turned_leaf), CTX, grp.dim, grp.proper)

@@ -180,13 +180,15 @@ def _two_nodes(**changes):
             edges=None, cutoff=True,
         ),
         _two_nodes(nodes=[{"s": [True], "x": ["0", "0"]}, {"s": [0], "x": ["1", "0"]}]),
+        # NaN != NaN, so a file would be told apart from itself
+        _two_nodes(nodes=[{"s": [float("nan")], "x": ["0", "0"]}, {"s": [0], "x": ["1", "0"]}]),
     ],
     ids=[
         "dim-not-int", "dim-4", "edge-float", "edge-bool", "scalar-list", "cutoff-dim",
         "string-fields", "string-vector", "object-position", "object-scalars",
         "nodes-int", "nodes-object", "exact-position-bool", "exact-vector-bool",
         "exact-cutoff-bool", "float-position-bool", "float-vector-bool", "float-cutoff-bool",
-        "scalar-bool",
+        "scalar-bool", "scalar-nan",
     ],
 )
 def test_malformed_graph_field_is_input_error(tmp_path, capsys, data):

@@ -1,9 +1,11 @@
 """Generated (hypothesis) checks of the contracts every engine must keep:
 orbit colours are invariant under isometries, isometric copies are never
 separated, a separating verdict is always confirmed by the oracle, the
-exact orbit search agrees with the float one, and float verdicts do not
-depend on the unit of length."""
+exact orbit search agrees with the float one, float verdicts do not
+depend on the unit of length, and a graph file reads back as the graph
+that was written."""
 import itertools
+import json
 from fractions import Fraction
 from math import ldexp
 
@@ -30,6 +32,7 @@ from geowl import (
     run_so2_gwl,
     run_wl,
 )
+from geowl.graph import graph_from_dict, graph_to_dict
 from geowl.linalg import matvec
 from geowl.numeric import exact_context, float_context
 from geowl.objects import norm_profile, skeleton
@@ -217,3 +220,33 @@ def test_float_verdicts_do_not_depend_on_a_power_of_two_unit(data, unit, k, vari
 
     assert floats(k) == floats(0)
     assert triangles(k) == triangles(0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# every scalar token the graph model accepts
+TOKENS = st.one_of(st.text(max_size=3), st.integers(), FINITE)
+
+
+@st.composite
+def graphs(draw):
+    """A graph of either mode with d = 1-3, 0-5 nodes, scalar tuples of one
+    arity, up to 2 feature vectors per node and random edges."""
+    mode = draw(st.sampled_from(["exact", "float"]))
+    d, n = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    vec = st.tuples(*[st.fractions() if mode == "exact" else FINITE] * d)
+    arity = draw(st.integers(0, 2))
+    pairs = list(itertools.combinations(range(n), 2))
+    return geometric_graph(
+        d,
+        draw(st.lists(vec, min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [],
+        draw(st.lists(st.tuples(*[TOKENS] * arity), min_size=n, max_size=n)),
+        draw(st.lists(st.lists(vec, max_size=2), min_size=n, max_size=n)),
+        mode=mode,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graphs())
+def test_json_round_trip(g):
+    assert graph_from_dict(json.loads(json.dumps(graph_to_dict(g)))) == g

@@ -287,6 +287,14 @@ def test_geometric_graph_rejects_non_finite_floats(bad):
         geometric_graph(2, [(0.0, 0.0), (bad, 1.0)])
 
 
+@pytest.mark.parametrize(
+    "token", [True, None, math.nan, math.inf, (1, 2)], ids=["bool", "none", "nan", "inf", "tuple"]
+)
+def test_geometric_graph_rejects_scalar_tokens_other_than_str_int_or_finite_float(token):
+    with pytest.raises(GraphError, match="node 1: scalars must be"):
+        geometric_graph(1, [(0,), (1,)], scalars=[("C",), (token,)], mode="exact")
+
+
 def test_json_non_finite_or_huge_float_component():
     for bad in (math.nan, math.inf, 10**400):
         data = {"dim": 1, "numeric": "float", "nodes": [{"s": [], "x": [bad]}], "edges": []}
