@@ -458,15 +458,9 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
         isinstance(e, list) and len(e) == 2 and all(type(i) is int for i in e) for e in edges
     ):
         raise GraphFormatError("edges must be a list of [i, j] node index pairs")
-    return geometric_graph(
-        dim,
-        [p[2] for p in points],
-        edges,
-        [p[0] for p in points],
-        [p[1] for p in points],
-        mode=mode,
-        eps=eps,
-    )
+    # the components are coerced already: build the graph without a second pass
+    scalars, vectors, positions = zip(*points) if points else ((), (), ())
+    return GeometricGraph(dim, ctx, scalars, vectors, positions, _normalise_edges(edges))
 
 
 def dump_graph(g: GeometricGraph, path: str) -> None:

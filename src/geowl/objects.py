@@ -20,9 +20,10 @@ an integer key, (v.v, v.e_1, ..., v.e_r) with e_i the basis vectors of its
 own side, and u = Qw holds exactly when u and w have equal keys (the
 argument of `GramMatcher`'s docstring). The rest of the two objects is
 decided by integer labels built from these keys, one per sub-object and
-side, and yields at most once. The check runs on entry to a Node pair and
-before each new child but the last: a last child cannot branch, and its
-sub-object is checked on entry. Float mode never pins: under a
+basis, which the registry keeps for its life, and yields at most once.
+The check runs on entry to a Node pair, after its centre's alignment,
+and before each new child but the last: a last child cannot branch, and
+its sub-object is checked on entry. Float mode never pins: under a
 tolerance a key is not stable, since nearby vectors round to different
 numbers, and equal keys would not bound the error against other vectors.
 """
@@ -139,36 +140,37 @@ def norm_profile(obj, ctx: NumericContext) -> tuple:
 
 class _Search:
     """The state of one orbit_equal call: its matcher, the basis size at
-    which the map is pinned, and the caches of the pinned state in use.
+    which the map is pinned, and the pinned caches in use, drawn from the
+    caller's label table.
 
     A pinned state is fixed by the basis vectors of a's side and of b's
     side. Within it each sub-object of each side gets an integer label, as
-    colour refinement gives one: a call-wide table hands out one int per
+    colour refinement gives one: the table's forms hand out one int per
     form, and a Node's form holds its centre's label and its children's
     labels. By induction on depth, b's object maps onto a's under the
     pinned map exactly when their labels are equal. A key depends only on
-    its own side's basis, so each side's keys and labels are cached by
-    vector and by id(obj) until that side's basis vectors change. Every
-    object reached is alive for the whole call, so no id is reused.
+    its own side's basis, so the table keeps one key cache (by vector) and
+    one label cache (by id(obj)) per basis, for as long as it lives. The
+    table holds each labelled object, so no id it caches is reused.
     """
 
-    __slots__ = ("matcher", "basis", "rank", "_bases", "_keys", "_labels", "_forms")
+    __slots__ = ("matcher", "basis", "rank", "_caches", "_forms", "_bases", "_keys", "_labels")
 
-    def __init__(self, matcher: GramMatcher, rank: int):
+    def __init__(self, matcher: GramMatcher, rank: int, table: tuple):
         self.matcher = matcher
         self.basis = matcher.basis
         self.rank = rank
-        self._bases = [None, None]
-        self._keys, self._labels, self._forms = [{}, {}], [{}, {}], {}
+        self._caches, self._forms = table
+        self._bases, self._keys, self._labels = [None, None], [None, None], [None, None]
 
     def pinned(self) -> "_Search":
-        """Self, with each side's caches kept while its basis vectors recur
-        and emptied when they change."""
+        """Self, with each side's caches those of its basis vectors."""
         m = self.matcher
         for side, vs in enumerate((m.v1, m.v2)):
-            basis = [vs[k] for k in self.basis]
+            basis = tuple(vs[k] for k in self.basis)
             if basis != self._bases[side]:
-                self._bases[side], self._keys[side], self._labels[side] = basis, {}, {}
+                self._bases[side] = basis
+                self._keys[side], self._labels[side] = self._caches.setdefault(basis, ({}, {}))
         return self
 
     def _key(self, v: Vec, side: int) -> tuple:
@@ -185,14 +187,14 @@ class _Search:
         Leaf's form never holds an int after its colour, so no Leaf shares
         a label with a Node."""
         labels = self._labels[side]
-        lab = labels.get(id(obj))
-        if lab is None:
+        entry = labels.get(id(obj))
+        if entry is None:
             if isinstance(obj, Leaf):
                 form = (obj.colour, *[self._key(v, side) for v in obj.vectors])
             else:
                 form = (obj.colour, self.label(obj.obj, side), self.triples(obj.children, side))
-            lab = labels[id(obj)] = self._forms.setdefault(form, len(self._forms))
-        return lab
+            entry = labels[id(obj)] = (self._forms.setdefault(form, len(self._forms)), obj)
+        return entry[0]
 
     def triples(self, cs: Sequence[Child], side: int) -> tuple:
         """The sorted (colour, key(rel), label) triples of cs: two bags of
@@ -207,8 +209,8 @@ def _align(a, b, s: _Search) -> Iterator[None]:
     While suspended at a yield, the matcher holds that alignment's pairs on
     top of what it held on entry; once exhausted, the generator has rewound
     the matcher to its starting mark. Frames nest once per tree level. Once
-    the map is pinned, the pinned check decides the pair and yields at most
-    once, pushing nothing.
+    the map is pinned, on entry or by the centre's alignment, the pinned
+    check decides the pair and yields at most once, pushing nothing more.
     """
     if type(a) is not type(b) or a.colour != b.colour:
         return
@@ -224,12 +226,12 @@ def _align(a, b, s: _Search) -> Iterator[None]:
         return
     if len(a.children) != len(b.children):
         return
-    if len(s.basis) == s.rank:
-        if s.pinned().label(a, 0) == s.label(b, 1):
+    # a map pinned on entry needs no centre alignment: the labels decide
+    for _ in _align(a.obj, b.obj, s) if len(s.basis) != s.rank else (None,):
+        if len(s.basis) != s.rank:
+            yield from _align_children(a.children, b.children, s)
+        elif s.pinned().label(a, 0) == s.label(b, 1):
             yield
-        return
-    for _ in _align(a.obj, b.obj, s):
-        yield from _align_children(a.children, b.children, s)
 
 
 _DONE = object()
@@ -281,7 +283,12 @@ def _align_children(ac: Tuple[Child, ...], bc: Tuple[Child, ...], s: _Search) ->
         k = len(stack)
 
 
-def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool) -> bool:
+def label_table() -> tuple:
+    """An empty table of (key cache, label cache) per basis, and one of forms."""
+    return {}, {}
+
+
+def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool, table=None) -> bool:
     """Decide whether some Q in O(dim) (SO(dim) when proper) maps b's vectors
     onto a's under a matching of unordered children.
 
@@ -294,11 +301,14 @@ def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool) -> bool:
     of a's vectors (the module docstring says why that is exact) and then
     compares the labels of `_Search.label`: equal labels mean the map sends
     b's sub-object onto a's, so children tied on (colour, key) need no
-    search. At full rank every completion of a pinned alignment is the same
-    Q, and below full rank `orientation_ok` is True, so one yield per pinned
-    state suffices. Float mode keeps the generic search.
+    search, and a Node pair whose centre's alignment pins the map is decided
+    by the Nodes' labels. At full rank every completion of a pinned alignment
+    is the same Q, and below full rank `orientation_ok` is True, so one yield
+    per pinned state suffices. Float mode keeps the generic search. Labels
+    last as long as `table` (a fresh `label_table()` when none is given): the
+    registry passes its own, so a call under a basis already seen reuses them.
     """
     matcher = GramMatcher(ctx, dim, proper)
     # float mode never pins: a basis never has length -1
-    s = _Search(matcher, len(a.span) if ctx.mode == EXACT else -1)
+    s = _Search(matcher, len(a.span) if ctx.mode == EXACT else -1, table or label_table())
     return any(matcher.orientation_ok() for _ in _align(a, b, s))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Tuple
 
 from .numeric import EXACT, NumericContext
-from .objects import norm_profile, orbit_equal, skeleton
+from .objects import label_table, norm_profile, orbit_equal, skeleton
 
 
 class OrbitRegistry:
@@ -28,6 +28,7 @@ class OrbitRegistry:
         # (skeleton, norm_profile | None) -> list of (representative, colour)
         self._orbits: Dict[tuple, List[Tuple[object, int]]] = {}
         self._bags_float: List[Tuple[tuple, int]] = []
+        self._label_table = label_table()
 
     def _fresh(self) -> int:
         c = self._next
@@ -50,7 +51,7 @@ class OrbitRegistry:
         profile = norm_profile(obj, self.ctx) if self.ctx.mode == EXACT else None
         bucket = self._orbits.setdefault((skeleton(obj), profile), [])
         for rep, colour in bucket:
-            if orbit_equal(rep, obj, self.ctx, self.dim, self.proper):
+            if orbit_equal(rep, obj, self.ctx, self.dim, self.proper, self._label_table):
                 return colour
         colour = self._fresh()
         bucket.append((obj, colour))

@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from geowl import (
 from geowl.engines import _leaves, _nodes, _pair, _scalar_colours, i_hash_k
 from geowl.linalg import independent_subset, matvec
 from geowl.numeric import exact_context, float_context
+from geowl.objects import label_table
 
 CTX = exact_context()
 O2 = GroupSpec("O", 2)
@@ -355,3 +358,39 @@ def test_a_sub_object_shared_by_both_sides_is_labelled_per_side(grp):
     assert not orbit_equal(node(rels, shared), node(turned, shared), CTX, grp.dim, grp.proper)
     turned_leaf = Leaf(5, (f(0, 1),))
     assert orbit_equal(node(rels, shared), node(turned, turned_leaf), CTX, grp.dim, grp.proper)
+
+
+def pinned_by_centre():
+    """An object whose centre spans R^3, so the map is pinned once the
+    centre aligns, with a Node child; and its image under a turn."""
+    grandchild = Child(1, Leaf(3, (f(2, 1, 0),)), f(0, 1, 1))
+    sub = Node(2, Leaf(2, (f(1, 2, 0),)), (grandchild,))
+    a = Node(0, Leaf(0, (f(1, 0, 0), f(0, 1, 0), f(0, 0, 1))), (Child(1, sub, f(0, 0, 1)),))
+    return a, rotate_obj(a, ((0, -1, 0), (1, 0, 0), (0, 0, 1)))
+
+
+@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
+def test_the_label_table_holds_each_object_it_labels(grp):
+    # labels are cached by id(obj): a table that did not hold its objects
+    # could hand a freed object's label to a new object at the same address
+    a, b = pinned_by_centre()
+    table = label_table()
+    sub = weakref.ref(b.children[0].obj)
+    assert orbit_equal(a, b, CTX, grp.dim, grp.proper, table)
+    del b
+    gc.collect()
+    assert sub() is not None
+    del table
+    gc.collect()
+    assert sub() is None
+
+
+@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
+def test_a_repeated_call_with_the_same_table_adds_no_form(grp):
+    a, b = pinned_by_centre()
+    table = label_table()
+    assert orbit_equal(a, b, CTX, grp.dim, grp.proper, table)
+    forms = dict(table[1])
+    assert forms
+    assert orbit_equal(a, b, CTX, grp.dim, grp.proper, table)
+    assert table[1] == forms

@@ -1,11 +1,12 @@
 """Generated (hypothesis) checks of the contracts every engine must keep:
 orbit colours are invariant under isometries, isometric copies are never
 separated, a separating verdict is always confirmed by the oracle, the
-exact orbit search agrees with the float one, float verdicts do not
-depend on the unit of length, and a graph file reads back as the graph
-that was written."""
+exact orbit search agrees with the float one, the registry's label table
+changes no verdict, float verdicts do not depend on the unit of length,
+and a graph file reads back as the graph that was written."""
 import itertools
 import json
+from unittest import mock
 from fractions import Fraction
 from math import ldexp
 
@@ -32,6 +33,7 @@ from geowl import (
     run_so2_gwl,
     run_wl,
 )
+from geowl.engines import report_dict
 from geowl.graph import graph_from_dict, graph_to_dict
 from geowl.linalg import matvec
 from geowl.numeric import exact_context, float_context
@@ -182,6 +184,27 @@ def test_distinguished_implies_oracle_non_congruent(data, d, variant):
     if any(verdict.distinguished for verdict, _ in runs):
         congruent, _ = geometric_isomorphism_oracle(g1, g2, grp)
         assert not congruent
+
+
+def fresh_table_per_call(a, b, ctx, dim, proper, table=None):
+    return orbit_equal(a, b, ctx, dim, proper)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([2, 3]), st.sampled_from(["O", "SO"]))
+def test_the_registry_label_table_changes_no_verdict_or_trace(data, d, variant):
+    # a pinned label depends only on the object and its side's basis, so
+    # labels kept for the registry's life must decide as one table per call
+    g1, g2 = data.draw(near_copies(d))
+    grp = GroupSpec(variant, d)
+
+    def reports():
+        runs = {"gwl": run_gwl(g1, g2, grp), "igwl": run_igwl(g1, g2, grp)}
+        return json.dumps([report_dict(test, grp, *run) for test, run in runs.items()])
+
+    shared = reports()
+    with mock.patch("geowl.registry.orbit_equal", fresh_table_per_call):
+        assert reports() == shared
 
 
 def float_scaled(g, unit, k):

@@ -29,7 +29,7 @@ from geowl.graph import (
     neighborhood_subgraph,
     with_cutoff_sq,
 )
-from geowl.numeric import NumericError
+from geowl.numeric import NumericContext, NumericError
 
 
 def test_validation_rejects_malformed_graphs():
@@ -230,6 +230,19 @@ def test_json_round_trip_exact_and_float(tmp_path):
     gf = float_graph([(0.5, 0.25)], scalars=[("a",)])
     dump_graph(gf, str(path))
     assert load_graph(str(path)) == gf
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_loading_a_graph_file_reads_each_component_once(tmp_path, monkeypatch, mode):
+    nodes = [{"s": [0], "x": [0, 1, 2], "v": [[1, 0, 0], [0, 1, 0]]}, {"s": [1], "x": [3, 4, 5]}]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"dim": 3, "numeric": mode, "nodes": nodes, "edges": [[0, 1]]}))
+    calls = []
+    coerce = NumericContext.coerce
+    monkeypatch.setattr(NumericContext, "coerce", lambda self, v: calls.append(v) or coerce(self, v))
+    g = load_graph(str(path))
+    assert g.positions[1] == (3, 4, 5) and g.vectors[0] == ((1, 0, 0), (0, 1, 0)) and g.edges == {(0, 1)}
+    assert len(calls) == 12  # two positions and two feature vectors of 3 components
 
 
 def test_json_cutoff_triggers_radial_construction():

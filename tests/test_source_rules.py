@@ -15,6 +15,9 @@ recursion limit, warning filters, random seed and environment are its own.
 A number enters a numeric mode in `numeric.py` (`NumericContext.coerce`)
 and `graph.py` (the loader, `graph.as_float`) alone, so no other module
 makes a context, except the one shared exact context `objects._EXACT`.
+
+A label table of `objects.orbit_equal` is made per registry, or per call
+when the caller passes none, so its labels last one compared pair at most.
 """
 import ast
 from pathlib import Path
@@ -30,21 +33,29 @@ def _mode(call):
     return given[0].value if given and isinstance(given[0], ast.Constant) else "r"
 
 
-def _text_reads(tree):
-    """(function name, call) of each text-mode read `open(...)` call."""
+def _calls(tree, keep):
+    """(enclosing function name, call) of each call in tree that keep
+    accepts; the name is None at module level."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
-            if not set(_mode(node)) & set("waxb"):
-                found.append((func, node))
+        if isinstance(node, ast.Call) and keep(node):
+            found.append((func, node))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
     visit(tree, None)
     return found
+
+
+def _text_reads(tree):
+    """(function name, call) of each text-mode read `open(...)` call."""
+    return _calls(
+        tree,
+        lambda call: getattr(call.func, "id", None) == "open" and not set(_mode(call)) & set("waxb"),
+    )
 
 
 def test_every_text_read_names_its_encoding():
@@ -190,3 +201,18 @@ def test_numeric_contexts_are_made_only_where_numbers_enter_a_mode():
             if isinstance(node, ast.Call) and (dotted(node.func) or "").split(".")[-1] in CONTEXT_MAKERS:
                 made.append(module_level.get(id(node), f"{path.name}:{node.lineno}"))
     assert made == ["objects._EXACT"], made
+
+
+def test_label_tables_are_made_only_per_registry_or_per_call():
+    # a label table caches labels by basis and by id(obj) for as long as it
+    # lives: one per registry keeps it to one compared pair, and anywhere
+    # else (at import, say) it could outlive the pair
+    made = [
+        (path.name, func)
+        for path in SOURCES
+        for func, _ in _calls(
+            ast.parse(path.read_text(encoding="utf-8")),
+            lambda call: getattr(call.func, "id", getattr(call.func, "attr", None)) == "label_table",
+        )
+    ]
+    assert made == [("objects.py", "orbit_equal"), ("registry.py", "__init__")]
