@@ -470,8 +470,8 @@ def dump_graph(g: GeometricGraph, path: str) -> None:
 
 
 def read_json(path: str):
-    """Decode the UTF-8 JSON file at path; undecodable bytes and invalid
-    JSON raise GraphFormatError naming the path."""
+    """Decode the UTF-8 JSON file at path; undecodable bytes, invalid JSON
+    and JSON past the interpreter's limits raise GraphFormatError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -485,6 +485,10 @@ def read_json(path: str):
         raise GraphFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise GraphFormatError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an int literal past sys.get_int_max_str_digits()
+        raise GraphFormatError(f"{path}: a JSON integer has too many digits") from exc
 
 
 def load_graph(path: str, eps: float = DEFAULT_EPS) -> GeometricGraph:

@@ -10,7 +10,8 @@ the sequences span the full space.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import truediv
+from math import gcd, lcm
+from operator import mul, truediv
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .numeric import EXACT, Number, NumericContext, Vec
@@ -105,6 +106,13 @@ def det(m: Sequence[Vec]) -> Number:
             + a[2] * (b[0] * c[1] - b[1] * c[0])
         )
     raise ValueError("determinant only needed up to 3x3")
+
+
+def adjugate(m: Sequence[Vec]) -> Tuple[Vec, ...]:
+    """adj(m), with m @ adj(m) = det(m) I, up to 3x3 (columns: crosses of rows)."""
+    if len(m) == 3:
+        return transpose((cross(m[1], m[2]), cross(m[2], m[0]), cross(m[0], m[1])))
+    return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0])) if len(m) == 2 else ((1,),)
 
 
 def det_sign(m: Sequence[Vec], ctx: NumericContext) -> int:
@@ -293,6 +301,25 @@ class GramMatcher:
         s1 = det_sign([self.v1[i] for i in idx], self.ctx)
         s2 = det_sign([self.v2[i] for i in idx], self.ctx)
         return s1 == s2
+
+    def pinned_map(self) -> Tuple[Tuple[Vec, ...], int]:
+        """P = E (F^T F)^-1 F^T as integer rows over a positive denominator in
+        lowest terms (exact mode), E and F holding v1's and v2's basis vectors
+        as columns. P f_i = e_i and P is zero off F's span, so the pinned map
+        alone fixes P; w = F c + w', w' orthogonal to F, has P w = E c and
+        |w|^2 = |E c|^2 + |w'|^2: P w = u, |w| = |u| iff Q w = u for all such Q."""
+        if not self.basis:
+            return ((0,) * self.dim,) * self.dim, 1
+        e, f = ([vs[k] for k in self.basis] for vs in (self.v1, self.v2))
+        if any(type(c) is not int for v in (*e, *f) for c in v):
+            s = lcm(*[c.denominator for v in (*e, *f) for c in v])  # same P for s E, s F
+            e, f = ([tuple(int(c * s) for c in v) for v in vs] for vs in (e, f))
+        gram = [[sum(map(mul, p, q)) for q in f] for p in f]
+        x = [[sum(map(mul, row, col)) for col in zip(*f)] for row in adjugate(gram)]
+        cells = [sum(map(mul, ei, xj)) for ei in zip(*e) for xj in zip(*x)]  # E adj(F^T F) F^T
+        den = det(gram)
+        g = gcd(den, *cells)
+        return tuple(zip(*[iter([c // g for c in cells])] * self.dim)), den // g
 
     def solve_map(self) -> Optional[Tuple[Vec, ...]]:
         """The orthogonal matrix Q with Q @ v2[i] = v1[i], when full rank.

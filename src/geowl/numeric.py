@@ -20,6 +20,8 @@ FLOAT = "float"
 
 DEFAULT_EPS = 1e-9
 
+MAX_EXPONENT = 4300  # exact strings: 1e<n> builds 10**n; 4300 bounds int digits too
+
 Number = Union[Fraction, float]
 Vec = tuple  # tuple of Number, length = spatial dimension
 
@@ -47,9 +49,9 @@ class NumericContext:
 
     def coerce(self, value) -> Number:
         """The one reader of a raw component into this context's payload:
-        exact mode reads ints, Fractions and 'p/q' strings, float mode
-        ints, floats and Fractions. Neither reads bools: JSON true/false
-        are not numbers, although Python reads them as 1/0."""
+        exact mode reads ints, Fractions, 'p/q' and decimal strings (exponent
+        at most MAX_EXPONENT), float mode ints, floats and Fractions. Neither
+        reads bools: JSON true/false are not numbers, though Python reads 1/0."""
         if isinstance(value, bool):
             raise NumericError(f"component must be a number, not {str(value).lower()}")
         if self.mode == FLOAT:
@@ -57,6 +59,9 @@ class NumericContext:
                 raise NumericError(f"float component must be a number, got {value!r}")
             return _finite_float(value)
         if isinstance(value, str):
+            digits = value.lower().partition("e")[2].lstrip("+-").lstrip("0")
+            if digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
+                raise NumericError(f"exact component {value!r} has an exponent past +-{MAX_EXPONENT}")
             try:
                 value = Fraction(value)
             except (ValueError, ZeroDivisionError) as exc:

@@ -15,12 +15,11 @@ Gram matcher rather than ever being computed.
 In exact mode the search stops searching once the map is pinned: when the
 matcher's basis has as many pairs as the rank r of all vectors in the top
 object, the basis spans that object, and every Q consistent with it sends
-each remaining vector of b to one fixed vector. A vector is then named by
-an integer key, (v.v, v.e_1, ..., v.e_r) with e_i the basis vectors of its
-own side, and u = Qw holds exactly when u and w have equal keys (the
-argument of `GramMatcher`'s docstring). The rest of the two objects is
-decided by integer labels built from these keys, one per sub-object and
-basis, which the registry keeps for its life, and yields at most once.
+each remaining vector w of b to P w, P the pinned partial map
+(`GramMatcher.pinned_map`). A vector u of a is named by the key (u.u, *u)
+and w by (w.w, *P w), equal exactly when u = Qw. The rest of the two
+objects is decided by integer labels built from these keys, one per
+sub-object and map, kept for the registry's life, and yields at most once.
 The check runs on entry to a Node pair, after its centre's alignment,
 and before each new child but the last: a last child cannot branch, and
 its sub-object is checked on entry. Float mode never pins: under a
@@ -30,6 +29,7 @@ numbers, and equal keys would not bound the error against other vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -143,42 +143,46 @@ class _Search:
     which the map is pinned, and the pinned caches in use, drawn from the
     caller's label table.
 
-    A pinned state is fixed by the basis vectors of a's side and of b's
-    side. Within it each sub-object of each side gets an integer label, as
-    colour refinement gives one: the table's forms hand out one int per
-    form, and a Node's form holds its centre's label and its children's
-    labels. By induction on depth, b's object maps onto a's under the
-    pinned map exactly when their labels are equal. A key depends only on
-    its own side's basis, so the table keeps one key cache (by vector) and
-    one label cache (by id(obj)) per basis, for as long as it lives. The
-    table holds each labelled object, so no id it caches is reused.
+    Within a pinned state each sub-object of each side gets an integer
+    label, as colour refinement gives one: the table's forms hand out one
+    int per form, and a Node's form holds its centre's label and its
+    children's labels. By induction on depth, b's object maps onto a's
+    under the pinned map exactly when their labels are equal. A key of a's
+    side depends only on its vector, and one of b's only on the pinned map
+    P, so the table keeps a key cache (by vector) and a label cache (by
+    id(obj)) for a's side and per P for b's, and P per pair of bases, for
+    its life. It holds each labelled object, so no id it caches is reused.
     """
 
-    __slots__ = ("matcher", "basis", "rank", "_caches", "_forms", "_bases", "_keys", "_labels")
+    __slots__ = ("matcher", "basis", "rank", "_caches", "_forms", "_maps", "_sides")
 
     def __init__(self, matcher: GramMatcher, rank: int, table: tuple):
         self.matcher = matcher
         self.basis = matcher.basis
         self.rank = rank
-        self._caches, self._forms = table
-        self._bases, self._keys, self._labels = [None, None], [None, None], [None, None]
+        self._caches, self._forms, self._maps = table
+        self._sides = [(None, *self._caches.setdefault(None, ({}, {}))), None]
 
     def pinned(self) -> "_Search":
-        """Self, with each side's caches those of its basis vectors."""
+        """Self, with b's side read through the map its basis pairs pin."""
         m = self.matcher
-        for side, vs in enumerate((m.v1, m.v2)):
-            basis = tuple(vs[k] for k in self.basis)
-            if basis != self._bases[side]:
-                self._bases[side] = basis
-                self._keys[side], self._labels[side] = self._caches.setdefault(basis, ({}, {}))
+        bases = (tuple(m.v1[k] for k in self.basis), tuple(m.v2[k] for k in self.basis))
+        side = self._maps.get(bases)
+        if side is None:
+            pmap = m.pinned_map()
+            side = self._maps[bases] = (pmap, *self._caches.setdefault(pmap, ({}, {})))
+        self._sides[1] = side
         return self
 
     def _key(self, v: Vec, side: int) -> tuple:
-        cache = self._keys[side]
+        cache = self._sides[side][1]
         key = cache.get(v)
         if key is None:
-            dots = [sum(map(mul, v, e)) for e in self._bases[side]]
-            key = cache[v] = (sum(map(mul, v, v)), *dots)
+            image = v  # a's side is read as it is
+            if side:
+                rows, q = self._sides[1][0]
+                image = [x // q if x % q == 0 else Fraction(x, q) for x in [sum(map(mul, row, v)) for row in rows]]
+            key = cache[v] = (sum(map(mul, v, v)), *image)
         return key
 
     def label(self, obj, side: int) -> int:
@@ -186,7 +190,7 @@ class _Search:
         keys in order, or a Node's colour, centre label and children. A
         Leaf's form never holds an int after its colour, so no Leaf shares
         a label with a Node."""
-        labels = self._labels[side]
+        labels = self._sides[side][2]
         entry = labels.get(id(obj))
         if entry is None:
             if isinstance(obj, Leaf):
@@ -284,8 +288,8 @@ def _align_children(ac: Tuple[Child, ...], bc: Tuple[Child, ...], s: _Search) ->
 
 
 def label_table() -> tuple:
-    """An empty table of (key cache, label cache) per basis, and one of forms."""
-    return {}, {}
+    """Empty dicts of caches per pinned map (None: a's side), forms, maps."""
+    return {}, {}, {}
 
 
 def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool, table=None) -> bool:
@@ -306,7 +310,7 @@ def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool, table=None) -
     is the same Q, and below full rank `orientation_ok` is True, so one yield
     per pinned state suffices. Float mode keeps the generic search. Labels
     last as long as `table` (a fresh `label_table()` when none is given): the
-    registry passes its own, so a call under a basis already seen reuses them.
+    registry passes its own, so a call under a map already seen reuses them.
     """
     matcher = GramMatcher(ctx, dim, proper)
     # float mode never pins: a basis never has length -1

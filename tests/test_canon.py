@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -19,7 +20,10 @@ from geowl import (
     gen_random_cloud,
     orbit_equal,
     random_isometry,
+    run_gwl,
 )
+from geowl.generators import mst_bottleneck_sq
+from geowl.graph import with_cutoff_sq
 from geowl.engines import _leaves, _nodes, _pair, _scalar_colours, i_hash_k
 from geowl.linalg import independent_subset, matvec
 from geowl.numeric import exact_context, float_context
@@ -394,3 +398,49 @@ def test_a_repeated_call_with_the_same_table_adds_no_form(grp):
     assert forms
     assert orbit_equal(a, b, CTX, grp.dim, grp.proper, table)
     assert table[1] == forms
+
+
+@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
+def test_a_second_basis_of_one_map_adds_no_form(grp):
+    # the map pins on the first three children, and the last child's Node
+    # sub-object is checked on entry; swapping the first two children of
+    # both sides pins another basis of the same map, and b's side is read
+    # through the map, not the basis, so nothing is labelled anew
+    grandchild = Child(1, Leaf(3, (f(2, 1, 0),)), f(0, 1, 1))
+    sub = Node(2, Leaf(2, (f(1, 2, 0),)), (grandchild,))
+    rels = (f(1, 0, 0), f(0, 2, 0), f(0, 0, 3))
+    children = tuple(Child(k, Leaf(k, ()), r) for k, r in enumerate(rels))
+    a = Node(0, Leaf(0, ()), children + (Child(3, sub, f(1, 1, 1)),))
+    b = rotate_obj(a, ((0, -1, 0), (1, 0, 0), (0, 0, 1)))
+
+    def swapped(obj):
+        c = obj.children
+        return Node(obj.colour, obj.obj, (c[1], c[0], *c[2:]))
+
+    table = label_table()
+
+    def sizes():
+        return {pmap: (len(keys), len(labels)) for pmap, (keys, labels) in table[0].items()}
+
+    assert orbit_equal(a, b, CTX, grp.dim, grp.proper, table)
+    forms, cached = dict(table[1]), sizes()
+    assert forms
+    assert orbit_equal(swapped(a), swapped(b), CTX, grp.dim, grp.proper, table)
+    assert table[1] == forms
+    assert sizes() == cached
+
+
+def test_gwl_on_the_exact_scaling_probe_stays_small():
+    # labels kept per pinned basis peaked at 13 MB here, and at 386 MB at
+    # n = 100; kept per pinned map they stay near 2 MB
+    g = gen_random_cloud(30, 3, 1)
+    g = with_cutoff_sq(g, 2 * mst_bottleneck_sq(g.positions))
+    h = apply_isometry(g, random_isometry(30, 3, 1, proper=True))
+    tracemalloc.start()
+    try:
+        verdict, _ = run_gwl(g, h, SO3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.distinguished
+    assert peak < 5 * 2**20, peak

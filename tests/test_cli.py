@@ -91,6 +91,28 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("cmd", ["distinguish", "iso"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 200_000 + "]" * 200_000, "JSON nested too deeply"),
+        (
+            '{"dim": 1, "numeric": "exact", "nodes": [{"x": [' + "7" * 5000 + "]}]}",
+            "a JSON integer has too many digits",
+        ),
+    ],
+    ids=["deep-nesting", "5000-digit-int"],
+)
+def test_json_past_the_interpreter_limits_is_input_error(tmp_path, capsys, cmd, text, message):
+    path = tmp_path / "limits.json"
+    path.write_text(text)
+    assert main([cmd, str(path), str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # one line naming the file, not a traceback or the interpreter's advice
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("edge", [[-1, 0], [0, 5]])
 def test_edge_out_of_range_is_input_error(tmp_path, capsys, edge):
     path = tmp_path / "edge.json"

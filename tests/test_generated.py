@@ -193,8 +193,9 @@ def fresh_table_per_call(a, b, ctx, dim, proper, table=None):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data(), st.sampled_from([2, 3]), st.sampled_from(["O", "SO"]))
 def test_the_registry_label_table_changes_no_verdict_or_trace(data, d, variant):
-    # a pinned label depends only on the object and its side's basis, so
-    # labels kept for the registry's life must decide as one table per call
+    # a pinned label depends only on the object and, on b's side, the
+    # pinned map, so labels kept for the registry's life must decide as one
+    # table per call
     g1, g2 = data.draw(near_copies(d))
     grp = GroupSpec(variant, d)
 

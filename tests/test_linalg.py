@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from geowl import linalg
+from geowl import Child, Leaf, Node, linalg, orbit_equal
 from geowl.numeric import exact_context, float_context
 
 
@@ -305,3 +306,95 @@ def test_gram_matcher_rank_indices_match_independent_subset(dim):
             if rng.random() < 0.25:
                 m.rewind(rng.randrange(m.mark() + 1))
             assert m.rank_indices() == linalg.independent_subset(m.v1, ctx, dim)
+
+
+def _independent(rng, rank, dim=3, scale=1):
+    """rank independent vectors of small ints, each divided by scale."""
+    while True:
+        vs = [tuple(Fraction(rng.randint(-4, 4), scale) for _ in range(dim)) for _ in range(rank)]
+        if len(linalg.independent_subset(vs, exact_context(), dim)) == rank:
+            return vs
+
+
+def _pinned_map(ws, q, dim=3):
+    """The pinned map of the pairs (q w, w), checked normalised."""
+    m = linalg.GramMatcher(exact_context(), dim, proper=False)
+    for w in ws:
+        assert m.push(linalg.matvec(q, w), w)
+    rows, den = m.pinned_map()
+    assert all(type(x) is int for row in rows for x in row) and type(den) is int
+    assert den > 0 and gcd(den, *[x for row in rows for x in row]) == 1
+    return rows, den
+
+
+def _image(pmap, w):
+    rows, den = pmap
+    return tuple(Fraction(x, den) for x in linalg.matvec(rows, w))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_the_pinned_map_sends_each_basis_vector_to_its_partner(rank):
+    # P f_i = e_i, and P is zero on the orthogonal complement of the f_i
+    rng = random.Random(("pinned map", rank).__repr__())
+    for _ in range(40):
+        q = _orthogonal(rng, 3)
+        ws = _independent(rng, rank)
+        pmap = _pinned_map(ws, q)
+        for w in ws:
+            assert _image(pmap, w) == linalg.matvec(q, w)
+        normals = [linalg.cross(ws[0], r) for r in _independent(rng, 2)] if rank == 1 else []
+        if rank == 2:
+            normals.append(linalg.cross(*ws))
+        for w in normals:
+            assert _image(pmap, w) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_two_bases_of_one_map_give_one_pinned_map(rank):
+    rng = random.Random(("two bases", rank).__repr__())
+    for _ in range(40):
+        q = _orthogonal(rng, 3)
+        ws = _independent(rng, rank)
+        while True:
+            mix = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+            if linalg.det(mix) != 0:
+                break
+        other = [tuple(sum(c * w[i] for c, w in zip(row, ws)) for i in range(3)) for row in mix]
+        assert _pinned_map(other, q) == _pinned_map(ws, q)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_pinned_map_of_no_pairs_is_zero(dim):
+    zero = (0,) * dim
+    m = linalg.GramMatcher(exact_context(), dim, proper=True)
+    assert m.pinned_map() == ((zero,) * dim, 1)
+    assert m.push(zero, zero) and m.basis == []
+    assert m.pinned_map() == ((zero,) * dim, 1)
+
+
+def test_the_pinned_map_reads_fractions():
+    # direct orbit_equal callers may pass Fraction vectors: P is the same
+    # as for the pairs scaled to integers
+    rng = random.Random("pinned fractions")
+    for rank in (1, 2, 3):
+        q = _orthogonal(rng, 3)
+        ws = _independent(rng, rank, scale=rng.choice([3, 7, 12]))
+        pmap = _pinned_map(ws, q)
+        assert pmap == _pinned_map([tuple(84 * x for x in w) for w in ws], q)
+        for w in ws:
+            assert _image(pmap, w) == linalg.matvec(q, w)
+
+
+@pytest.mark.parametrize("proper", [False, True])
+def test_a_non_integral_image_never_equals_an_integer_key(proper):
+    # b's centre pins the turn Q = ((3, -4), (4, 3)) / 5, read from
+    # Fraction vectors; b's child rel maps to (-3/5, 4/5), which rounds
+    # down to a's child rel (-1, 0), of the same norm
+    def node(centre, rel):
+        return Node(0, Leaf(0, centre), (Child(1, Leaf(1, ()), rel),))
+
+    f = Fraction
+    a = node(((1, 0), (0, 1)), (-1, 0))
+    turned = ((f(3, 5), f(-4, 5)), (f(4, 5), f(3, 5)))
+    assert orbit_equal(a, node(turned, (f(-3, 5), f(4, 5))), exact_context(), 2, proper)
+    assert not orbit_equal(a, node(turned, (f(7, 25), f(24, 25))), exact_context(), 2, proper)

@@ -54,6 +54,21 @@ def test_parse_and_format_round_trip():
         exact.coerce(0.1)  # non-rational input in exact mode
 
 
+@pytest.mark.parametrize("literal", ["1e5000", "-2.5E-5000", "1e+00004301", "1e" + "9" * 5000])
+def test_an_exact_string_past_the_exponent_bound_is_refused(literal):
+    # reading 1e<n> builds 10**n, at a cost growing faster than n: without
+    # the bound, 1e1000000 takes a fifth of a second and each further
+    # exponent digit multiplies that
+    with pytest.raises(NumericError, match="exponent past"):
+        exact_context().coerce(literal)
+
+
+def test_an_exact_string_at_the_exponent_bound_is_read():
+    assert exact_context().coerce("1e4300") == 10**4300
+    assert exact_context().coerce("25e-4300") == Fraction(25, 10**4300)
+    assert exact_context().coerce("1e+0004300") == 10**4300
+
+
 def test_infer_mode():
     assert infer_mode([Fraction(1), 2]) == "exact"
     assert infer_mode([1.0, Fraction(1)]) == "float"

@@ -204,9 +204,9 @@ def test_numeric_contexts_are_made_only_where_numbers_enter_a_mode():
 
 
 def test_label_tables_are_made_only_per_registry_or_per_call():
-    # a label table caches labels by basis and by id(obj) for as long as it
-    # lives: one per registry keeps it to one compared pair, and anywhere
-    # else (at import, say) it could outlive the pair
+    # a label table caches labels by pinned map and by id(obj) for as long
+    # as it lives: one per registry keeps it to one compared pair, and
+    # anywhere else (at import, say) it could outlive the pair
     made = [
         (path.name, func)
         for path in SOURCES
