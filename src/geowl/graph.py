@@ -492,4 +492,10 @@ def read_json(path: str):
 
 
 def load_graph(path: str, eps: float = DEFAULT_EPS) -> GeometricGraph:
-    return graph_from_dict(read_json(path), eps=eps)
+    """The graph in the JSON file at path; every refusal raises
+    GraphFormatError naming the file, as read_json's do."""
+    data = read_json(path)
+    try:
+        return graph_from_dict(data, eps=eps)
+    except ValueError as exc:  # GraphError and NumericError
+        raise GraphFormatError(f"{path}: {exc}") from exc

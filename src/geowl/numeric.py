@@ -64,8 +64,8 @@ class NumericContext:
                 raise NumericError(f"exact component {value!r} has an exponent past +-{MAX_EXPONENT}")
             try:
                 value = Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise NumericError(f"bad rational literal {value!r}: {exc}") from exc
+            except (ValueError, ZeroDivisionError) as exc:  # whose message repeats the literal
+                raise NumericError(f"bad rational literal {value!r}") from exc
         elif not isinstance(value, (int, Fraction)):
             raise NumericError(f"exact component must be 'p/q' or int, got {value!r}")
         # integral values stay plain ints: exact arithmetic on ints is

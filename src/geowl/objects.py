@@ -25,6 +25,15 @@ and before each new child but the last: a last child cannot branch, and
 its sub-object is checked on entry. Float mode never pins: under a
 tolerance a key is not stable, since nearby vectors round to different
 numbers, and equal keys would not bound the error against other vectors.
+
+Each exact match is recorded with the pinned map P that took the object
+onto its representative. GWL's object at iteration t wraps the same
+node's object of t - 1 as its centre, so P mostly takes the new object
+onto its representative too: `carried_match` reads it through P, and one
+label per representative decides it before any search runs. That is
+exact for the reason pinned labels are, and a miss falls back to the
+search. The first iteration (Leaf centres), IGWL (fresh Leaf centres) and
+float mode have no recorded map and keep the search.
 """
 from __future__ import annotations
 
@@ -154,14 +163,22 @@ class _Search:
     its life. It holds each labelled object, so no id it caches is reused.
     """
 
-    __slots__ = ("matcher", "basis", "rank", "_caches", "_forms", "_maps", "_sides")
+    __slots__ = ("matcher", "basis", "rank", "_caches", "_forms", "_maps", "_tails", "_sides")
 
-    def __init__(self, matcher: GramMatcher, rank: int, table: tuple):
+    def __init__(self, table: tuple, matcher: Optional[GramMatcher] = None, rank: int = -1):
         self.matcher = matcher
-        self.basis = matcher.basis
+        self.basis = matcher.basis if matcher else ()
         self.rank = rank
-        self._caches, self._forms, self._maps = table
-        self._sides = [(None, *self._caches.setdefault(None, ({}, {}))), None]
+        self._caches, self._forms, self._maps, _, self._tails = table
+        self._sides = [self._side(None), None]
+
+    def _side(self, pmap) -> tuple:
+        return (pmap, *self._caches.setdefault(pmap, ({}, {})))
+
+    def through(self, pmap) -> "_Search":
+        """Self, with b's side read through pmap (None: as it is)."""
+        self._sides[1] = self._side(pmap)
+        return self
 
     def pinned(self) -> "_Search":
         """Self, with b's side read through the map its basis pairs pin."""
@@ -169,18 +186,21 @@ class _Search:
         bases = (tuple(m.v1[k] for k in self.basis), tuple(m.v2[k] for k in self.basis))
         side = self._maps.get(bases)
         if side is None:
-            pmap = m.pinned_map()
-            side = self._maps[bases] = (pmap, *self._caches.setdefault(pmap, ({}, {})))
+            side = self._maps[bases] = self._side(m.pinned_map())
         self._sides[1] = side
         return self
+
+    def pinned_map(self):
+        """The map that the matcher's basis pairs pin (see `pinned`)."""
+        return self.pinned()._sides[1][0]
 
     def _key(self, v: Vec, side: int) -> tuple:
         cache = self._sides[side][1]
         key = cache.get(v)
         if key is None:
-            image = v  # a's side is read as it is
-            if side:
-                rows, q = self._sides[1][0]
+            image = v  # a's side, or b's read through None, is read as it is
+            if self._sides[side][0] is not None:
+                rows, q = self._sides[side][0]
                 image = [x // q if x % q == 0 else Fraction(x, q) for x in [sum(map(mul, row, v)) for row in rows]]
             key = cache[v] = (sum(map(mul, v, v)), *image)
         return key
@@ -205,6 +225,14 @@ class _Search:
         children match one to one under the pinned map iff these agree."""
         key, label = self._key, self.label
         return tuple(sorted([(c.colour, key(c.rel, side), label(c.obj, side)) for c in cs]))
+
+    def tail(self, cs: Tuple[Child, ...], k: int) -> tuple:
+        """triples(cs[k:], 0), kept for the table's life: a's side is read as
+        it is, so they depend on (cs, k) alone. The entry holds cs."""
+        entry = self._tails.get((id(cs), k))
+        if entry is None:
+            entry = self._tails[id(cs), k] = (self.triples(cs[k:], 0), cs)
+        return entry[0]
 
 
 def _align(a, b, s: _Search) -> Iterator[None]:
@@ -273,7 +301,7 @@ def _align_children(ac: Tuple[Child, ...], bc: Tuple[Child, ...], s: _Search) ->
             yield
         elif k == last or len(basis) != rank:
             stack.append(partners(ac[k]))
-        elif s.pinned().triples(ac[k:], 0) == s.triples(
+        elif s.pinned().tail(ac, k) == s.triples(
             [cb for idx, cb in enumerate(bc) if idx not in used], 1
         ):
             yield
@@ -288,8 +316,50 @@ def _align_children(ac: Tuple[Child, ...], bc: Tuple[Child, ...], s: _Search) ->
 
 
 def label_table() -> tuple:
-    """Empty dicts of caches per pinned map (None: a's side), forms, maps."""
-    return {}, {}, {}
+    """Empty dicts of caches per pinned map (None: a's side), forms, maps,
+    recorded maps and a's remaining-children triples.
+
+    A recorded map is kept by id(obj), with obj, for each object the
+    registry interned in exact mode: the pinned map P under which it
+    matched its representative, or None (as it is) for a representative.
+    Any such P carries the proof of an orbit map, not just of that match:
+    its basis pairs have equal Grams, so some orthogonal Q extends them,
+    and that Q is proper under SO, since the orientation was checked at
+    full rank and below it a reflection of the complement fixes the sign.
+    `carried_match` reads a new object through its centre's P.
+    """
+    return {}, {}, {}, {}, {}
+
+
+def record_map(table: tuple, obj, pmap=None) -> None:
+    """Record that obj matched its representative under pmap (None: obj is
+    one, or matched as it is)."""
+    table[3][id(obj)] = (pmap, obj)
+
+
+def carried_match(obj, bucket: Sequence[Tuple[object, int]], table: tuple) -> Optional[int]:
+    """The colour of the first (rep, colour) in bucket whose label on a's
+    side equals obj's read through the map recorded for obj's centre, with
+    that map recorded for obj; None when obj is a Leaf, its centre has no
+    recorded map, or no label is equal.
+
+    Equal labels under P mean every Q extending P's basis pairs sends obj
+    onto rep (`_Search` says why), and `label_table` why such a Q exists in
+    the group, so obj and rep are orbit equal. A P whose span misses some
+    vector w of obj only misses: P w = u with |w| = |u| puts w in its span.
+    The reps of one bucket are pairwise not orbit equal, so at most one
+    label can be equal, and the colour is the one the search would find.
+    """
+    record = table[3].get(id(obj.obj)) if isinstance(obj, Node) else None
+    if record is None:
+        return None
+    s = _Search(table).through(record[0])
+    label = s.label(obj, 1)
+    for rep, colour in bucket:
+        if s.label(rep, 0) == label:
+            record_map(table, obj, record[0])
+            return colour
+    return None
 
 
 def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool, table=None) -> bool:
@@ -311,8 +381,18 @@ def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool, table=None) -
     per pinned state suffices. Float mode keeps the generic search. Labels
     last as long as `table` (a fresh `label_table()` when none is given): the
     registry passes its own, so a call under a map already seen reuses them.
+    An exact match records, in `table`, the pinned map P of the yield where
+    the orientation held: every vector of a has been pushed or checked by
+    then, so the basis spans a's vectors, and P takes b onto a.
     """
     matcher = GramMatcher(ctx, dim, proper)
+    exact = ctx.mode == EXACT
+    table = table or label_table()
     # float mode never pins: a basis never has length -1
-    s = _Search(matcher, len(a.span) if ctx.mode == EXACT else -1, table or label_table())
-    return any(matcher.orientation_ok() for _ in _align(a, b, s))
+    s = _Search(table, matcher, len(a.span) if exact else -1)
+    for _ in _align(a, b, s):
+        if matcher.orientation_ok():
+            if exact:
+                record_map(table, b, s.pinned_map())
+            return True
+    return False

@@ -6,15 +6,18 @@ they are equivalent. For plain hashable keys that is a dict. For geometric
 objects, equivalence is orbit equality under O(d)/SO(d), which is not
 hashable, so the registry keeps one representative per orbit (bucketed by
 the geometry-free skeleton plus, in exact mode, a norm multiset) and
-searches linearly within a bucket. A fresh registry is deterministic:
-colours are handed out in first-encounter order.
+searches linearly within a bucket. In exact mode a Node is first read
+through the map its centre was matched under (`objects.carried_match`),
+one label per representative, and the bucket is searched only on a miss.
+A fresh registry is deterministic: colours are handed out in
+first-encounter order.
 """
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Tuple
 
 from .numeric import EXACT, NumericContext
-from .objects import label_table, norm_profile, orbit_equal, skeleton
+from .objects import carried_match, label_table, norm_profile, orbit_equal, record_map, skeleton
 
 
 class OrbitRegistry:
@@ -48,13 +51,19 @@ class OrbitRegistry:
 
     def intern_orbit(self, obj) -> int:
         """Colour for a geometric object, injective on O/SO orbits."""
-        profile = norm_profile(obj, self.ctx) if self.ctx.mode == EXACT else None
+        exact = self.ctx.mode == EXACT
+        profile = norm_profile(obj, self.ctx) if exact else None
         bucket = self._orbits.setdefault((skeleton(obj), profile), [])
+        colour = carried_match(obj, bucket, self._label_table) if exact and bucket else None
+        if colour is not None:
+            return colour
         for rep, colour in bucket:
             if orbit_equal(rep, obj, self.ctx, self.dim, self.proper, self._label_table):
                 return colour
         colour = self._fresh()
         bucket.append((obj, colour))
+        if exact:
+            record_map(self._label_table, obj)
         return colour
 
     def intern_bag(self, bag: Tuple[tuple, ...]) -> int:

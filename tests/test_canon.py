@@ -27,7 +27,7 @@ from geowl.graph import with_cutoff_sq
 from geowl.engines import _leaves, _nodes, _pair, _scalar_colours, i_hash_k
 from geowl.linalg import independent_subset, matvec
 from geowl.numeric import exact_context, float_context
-from geowl.objects import label_table
+from geowl.objects import carried_match, label_table
 
 CTX = exact_context()
 O2 = GroupSpec("O", 2)
@@ -444,3 +444,114 @@ def test_gwl_on_the_exact_scaling_probe_stays_small():
         tracemalloc.stop()
     assert not verdict.distinguished
     assert peak < 5 * 2**20, peak
+
+
+def mirror_pair(turn):
+    """A planar centre, its image under `turn` (a turn about the plane's
+    normal), and two Nodes: one over the centre, and one over the turned
+    centre whose child is the first's mirrored through the plane and then
+    turned."""
+    centre = Leaf(0, (f(1, 0, 0), f(0, 2, 0)))
+    turned = rotate_obj(centre, turn)
+
+    def node(c, rel):
+        return Node(0, c, (Child(1, Leaf(1, ()), rel),))
+
+    return centre, turned, node(centre, f(1, 1, 1)), node(turned, matvec(turn, f(1, 1, -1)))
+
+
+@pytest.mark.parametrize("turn", [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, -1, 0), (1, 0, 0), (0, 0, 1))],
+                         ids=["as-it-is", "turned"])
+@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
+def test_a_recorded_map_that_carries_no_rep_falls_back_to_the_search(grp, turn, monkeypatch):
+    # the centres match under a map pinned on their plane, which reads the
+    # mirrored child off that plane: no representative is carried, and the
+    # search decides. The mirror through the plane is in O(3), and no
+    # rotation fixes the plane's vectors and moves the child.
+    centre, turned, first, mirrored = mirror_pair(turn)
+    searched, carried = [], []
+
+    def search_spy(a, b, *args):
+        searched.append(b)
+        return orbit_equal(a, b, *args)
+
+    def carry_spy(obj, bucket, table):
+        colour = carried_match(obj, bucket, table)
+        if isinstance(obj, Node):
+            carried.append((obj, id(obj.obj) in table[3], colour))
+        return colour
+
+    def colours():
+        reg = OrbitRegistry(CTX, 3, grp.proper)
+        return [reg.intern_orbit(o) for o in (centre, turned, first, mirrored)]
+
+    monkeypatch.setattr("geowl.registry.orbit_equal", search_spy)
+    monkeypatch.setattr("geowl.registry.carried_match", carry_spy)
+    found = colours()
+    assert found == [0, 0, 1, 1 if grp.variant == "O" else 2]
+    assert carried[-1] == (mirrored, True, None)
+    assert searched[-1] is mirrored
+    monkeypatch.setattr("geowl.registry.carried_match", lambda obj, bucket, table: None)
+    assert colours() == found
+
+
+@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
+def test_gwl_on_a_copy_of_a_rigid_cloud_searches_only_in_the_first_iteration(grp, monkeypatch):
+    # each object wraps its node's object of the iteration before, so the
+    # map that matched that centre carries the object onto its
+    # representative; only the first iteration, over Leaf centres, searches
+    g = gen_random_cloud(8, 3, 1)
+    g = with_cutoff_sq(g, 2 * mst_bottleneck_sq(g.positions))
+    h = apply_isometry(g, random_isometry(8, 3, 1, proper=True))
+    searched = []
+
+    def spy(a, b, *args):
+        searched.append(b)
+        return orbit_equal(a, b, *args)
+
+    monkeypatch.setattr("geowl.registry.orbit_equal", spy)
+    verdict, trace = run_gwl(g, h, grp)
+    assert not verdict.distinguished and len(trace.rows) > 3
+    assert len(searched) == 8
+    assert all(isinstance(b.obj, Leaf) for b in searched)
+
+
+@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
+def test_the_label_table_holds_each_object_it_records_a_map_for(grp):
+    # recorded maps, and a's remaining children, are kept by id(): a table
+    # that did not hold them could hand a freed object's map, or a freed
+    # tuple's triples, to a new one at the same address. The first three
+    # children pin the map, and the last two are matched by their labels.
+    rels = (f(1, 0, 0), f(0, 2, 0), f(0, 0, 3), f(1, 1, 1), f(1, 1, 2))
+    a = Node(0, Leaf(0, ()), tuple(Child(k % 2, Leaf(k % 2, ()), r) for k, r in enumerate(rels)))
+    b = rotate_obj(a, ((0, -1, 0), (1, 0, 0), (0, 0, 1)))
+    reg = OrbitRegistry(CTX, 3, grp.proper)
+    table = reg._label_table
+    assert [reg.intern_orbit(o) for o in (a, b)] == [0, 0]
+    assert [entry[0] is None for entry in table[3].values()] == [True, False]
+    assert all(id(entry[1]) == key for key, entry in table[3].items())
+    assert [key[1] for key in table[4]] == [3]
+    assert all(id(entry[1]) == key[0] for key, entry in table[4].items())
+    held = weakref.ref(b)
+    del b, table
+    gc.collect()
+    assert held() is not None
+    del reg
+    gc.collect()
+    assert held() is None
+
+
+@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
+def test_one_children_tuple_pinned_at_two_depths_keeps_both_tails(grp):
+    # x's children pin the map after three of them when x is compared
+    # alone, and after two inside y, whose centre spans two axes: a's
+    # remaining-children triples are kept per (children, k), not per
+    # children
+    rels = (f(1, 0, 0), f(0, 2, 0), f(0, 0, 3), f(1, 1, 1), f(1, 1, 2))
+    x = Node(0, Leaf(0, ()), tuple(Child(k % 2, Leaf(k % 2, ()), r) for k, r in enumerate(rels)))
+    y = Node(0, Leaf(0, (f(1, 0, 0), f(0, 0, 3))), (Child(5, x, f(1, 0, 1)),))
+    turn = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    table = label_table()
+    assert orbit_equal(x, rotate_obj(x, turn), CTX, 3, grp.proper, table)
+    assert orbit_equal(y, rotate_obj(y, turn), CTX, 3, grp.proper, table)
+    assert sorted(k for _, k in table[4]) == [2, 3]

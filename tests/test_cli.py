@@ -113,6 +113,33 @@ def test_json_past_the_interpreter_limits_is_input_error(tmp_path, capsys, cmd, 
     assert captured.err == f"error: {path}: {message}\n"
 
 
+def _one_node_file(path, component):
+    path.write_text(json.dumps({"dim": 1, "numeric": "exact", "nodes": [{"x": [component]}]}))
+
+
+def test_a_bad_node_names_the_file_it_is_in(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    _one_node_file(a, "1")
+    _one_node_file(b, "1e5000")
+    assert main(["distinguish", str(a), str(b)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {b}: bad node 0: exact component '1e5000' has an exponent past +-4300\n"
+    )
+
+
+def test_a_malformed_exact_string_is_quoted_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    literal = "1x" + "9" * 300
+    _one_node_file(tmp_path / "a.json", "1")
+    _one_node_file(tmp_path / "b.json", literal)
+    assert main(["distinguish", "a.json", "b.json"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: b.json: bad node 0: bad rational literal {literal!r}\n"
+    assert err.count(literal) == 1 and len(err.encode()) < 400
+
+
 @pytest.mark.parametrize("edge", [[-1, 0], [0, 5]])
 def test_edge_out_of_range_is_input_error(tmp_path, capsys, edge):
     path = tmp_path / "edge.json"

@@ -1,9 +1,10 @@
 """Generated (hypothesis) checks of the contracts every engine must keep:
 orbit colours are invariant under isometries, isometric copies are never
 separated, a separating verdict is always confirmed by the oracle, the
-exact orbit search agrees with the float one, the registry's label table
-changes no verdict, float verdicts do not depend on the unit of length,
-and a graph file reads back as the graph that was written."""
+exact orbit search agrees with the float one, neither the registry's label
+table nor the match carried from an object's centre changes a verdict,
+float verdicts do not depend on the unit of length, and a graph file reads
+back as the graph that was written."""
 import itertools
 import json
 from unittest import mock
@@ -206,6 +207,23 @@ def test_the_registry_label_table_changes_no_verdict_or_trace(data, d, variant):
     shared = reports()
     with mock.patch("geowl.registry.orbit_equal", fresh_table_per_call):
         assert reports() == shared
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([2, 3]), st.sampled_from(["O", "SO"]))
+def test_the_carried_match_changes_no_verdict_or_trace(data, d, variant):
+    # a Node read through the map its centre matched under is given a
+    # representative's colour only when the two are orbit equal, and at
+    # most one representative of a bucket is, so the scan alone must agree
+    g1, g2 = data.draw(near_copies(d))
+    grp = GroupSpec(variant, d)
+
+    def report():
+        return json.dumps(report_dict("gwl", grp, *run_gwl(g1, g2, grp)))
+
+    carried = report()
+    with mock.patch("geowl.registry.carried_match", lambda obj, bucket, table: None):
+        assert report() == carried
 
 
 def float_scaled(g, unit, k):

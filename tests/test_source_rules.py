@@ -18,6 +18,8 @@ makes a context, except the one shared exact context `objects._EXACT`.
 
 A label table of `objects.orbit_equal` is made per registry, or per call
 when the caller passes none, so its labels last one compared pair at most.
+The maps it records for interned objects are written and read only through
+such a table.
 """
 import ast
 from pathlib import Path
@@ -216,3 +218,24 @@ def test_label_tables_are_made_only_per_registry_or_per_call():
         )
     ]
     assert made == [("objects.py", "orbit_equal"), ("registry.py", "__init__")]
+
+
+def test_recorded_maps_are_kept_only_in_a_label_table():
+    # a recorded map is kept by id(obj) for as long as its table lives, so
+    # it is written and read only through a table the caller passes: the
+    # registry's own, or orbit_equal's per call, never one at module level
+    table_arg = {"carried_match": 2, "record_map": 0}
+    calls = [
+        (path.name, func, call.func.id, ast.unparse(call.args[table_arg[call.func.id]]))
+        for path in SOURCES
+        for func, call in _calls(
+            ast.parse(path.read_text(encoding="utf-8")),
+            lambda call: getattr(call.func, "id", None) in table_arg,
+        )
+    ]
+    assert calls == [
+        ("objects.py", "carried_match", "record_map", "table"),
+        ("objects.py", "orbit_equal", "record_map", "table"),
+        ("registry.py", "intern_orbit", "carried_match", "self._label_table"),
+        ("registry.py", "intern_orbit", "record_map", "self._label_table"),
+    ]
