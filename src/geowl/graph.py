@@ -414,11 +414,13 @@ def graph_to_dict(g: GeometricGraph) -> dict:
 
 
 def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
+    if not isinstance(data, dict):
+        raise GraphFormatError("a graph file must be a JSON object")
     try:
         dim = data["dim"]
         mode = data["numeric"]
         raw_nodes = data["nodes"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise GraphFormatError(f"missing required graph field: {exc}") from exc
     # type() rather than isinstance: JSON true/false must not pass as 1/0
     if type(dim) is not int or dim not in (1, 2, 3):
@@ -430,6 +432,8 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
     ctx = NumericContext(mode, eps)
     points = []
     for k, node in enumerate(raw_nodes):
+        if not isinstance(node, dict):
+            raise GraphFormatError(f"bad node {k}: must be a JSON object")
         try:
             x, s, v = node["x"], node.get("s", []), node.get("v", [])
             # a string or object would iterate as characters or keys

@@ -27,13 +27,16 @@ tolerance a key is not stable, since nearby vectors round to different
 numbers, and equal keys would not bound the error against other vectors.
 
 Each exact match is recorded with the pinned map P that took the object
-onto its representative. GWL's object at iteration t wraps the same
-node's object of t - 1 as its centre, so P mostly takes the new object
-onto its representative too: `carried_match` reads it through P, and one
-label per representative decides it before any search runs. That is
-exact for the reason pinned labels are, and a miss falls back to the
-search. The first iteration (Leaf centres), IGWL (fresh Leaf centres) and
-float mode have no recorded map and keep the search.
+onto an interned one, and the registry keeps every interned object's
+label, read as it is, with its colour. GWL's object at iteration t wraps
+the same node's object of t - 1 as its centre, so P mostly takes the new
+object onto an interned object too; and an isometric copy is one global
+map, so the last map that matched mostly carries the next object, a
+first-iteration one included. `carried_match` reads a new object through
+its centre's P, then through the last map, and looks its label up: equal
+labels make the two orbit equal for the reason pinned labels do, so the
+colour found is the one the search would find, and a miss falls back to
+the search. Float mode keeps the search.
 """
 from __future__ import annotations
 
@@ -169,7 +172,7 @@ class _Search:
         self.matcher = matcher
         self.basis = matcher.basis if matcher else ()
         self.rank = rank
-        self._caches, self._forms, self._maps, _, self._tails = table
+        self._caches, self._forms, self._maps, _, self._tails, _, _ = table
         self._sides = [self._side(None), None]
 
     def _side(self, pmap) -> tuple:
@@ -317,47 +320,56 @@ def _align_children(ac: Tuple[Child, ...], bc: Tuple[Child, ...], s: _Search) ->
 
 def label_table() -> tuple:
     """Empty dicts of caches per pinned map (None: a's side), forms, maps,
-    recorded maps and a's remaining-children triples.
+    recorded maps, a's remaining-children triples and colours by label,
+    and a one-entry list holding the last map under which a match held
+    (None, as it is, until one does).
 
     A recorded map is kept by id(obj), with obj, for each object the
     registry interned in exact mode: the pinned map P under which it
-    matched its representative, or None (as it is) for a representative.
+    matched an interned object, or None (as it is) when it matched none.
     Any such P carries the proof of an orbit map, not just of that match:
     its basis pairs have equal Grams, so some orthogonal Q extends them,
     and that Q is proper under SO, since the orientation was checked at
     full rank and below it a reflection of the complement fixes the sign.
-    `carried_match` reads a new object through its centre's P.
+    The colours map the label of every interned object, read as it is, to
+    its colour. `carried_match` reads a new object through its centre's P
+    and then through the last map, and looks its label up there.
     """
-    return {}, {}, {}, {}, {}
+    return {}, {}, {}, {}, {}, {}, [None]
 
 
-def record_map(table: tuple, obj, pmap=None) -> None:
-    """Record that obj matched its representative under pmap (None: obj is
-    one, or matched as it is)."""
+def record_map(table: tuple, obj, pmap) -> None:
+    """Record that obj matched an interned object under pmap, as obj's map
+    and as the last map under which a match held."""
     table[3][id(obj)] = (pmap, obj)
+    table[6][0] = pmap
 
 
-def carried_match(obj, bucket: Sequence[Tuple[object, int]], table: tuple) -> Optional[int]:
-    """The colour of the first (rep, colour) in bucket whose label on a's
-    side equals obj's read through the map recorded for obj's centre, with
-    that map recorded for obj; None when obj is a Leaf, its centre has no
-    recorded map, or no label is equal.
+def record_colour(table: tuple, obj, colour: int) -> None:
+    """Record colour under obj's own label, read as it is, and None (as it
+    is) as obj's map when it matched nothing."""
+    table[3].setdefault(id(obj), (None, obj))
+    table[5][_Search(table).label(obj, 0)] = colour
+
+
+def carried_match(obj, table: tuple) -> Optional[int]:
+    """The colour recorded under obj's label read through its centre's
+    recorded map, or else through the last map under which a match held,
+    with that map recorded for obj; None when neither label is recorded.
 
     Equal labels under P mean every Q extending P's basis pairs sends obj
-    onto rep (`_Search` says why), and `label_table` why such a Q exists in
-    the group, so obj and rep are orbit equal. A P whose span misses some
-    vector w of obj only misses: P w = u with |w| = |u| puts w in its span.
-    The reps of one bucket are pairwise not orbit equal, so at most one
-    label can be equal, and the colour is the one the search would find.
+    onto the interned object x that holds the label (`_Search` says why),
+    and `label_table` why such a Q exists in the group, so obj and x are
+    orbit equal and x's colour is the colour of their orbit: the one the
+    search would find. A P whose span misses some vector w of obj only
+    misses: P w = u with |w| = |u| puts w in its span.
     """
     record = table[3].get(id(obj.obj)) if isinstance(obj, Node) else None
-    if record is None:
-        return None
-    s = _Search(table).through(record[0])
-    label = s.label(obj, 1)
-    for rep, colour in bucket:
-        if s.label(rep, 0) == label:
-            record_map(table, obj, record[0])
+    s = _Search(table)
+    for pmap in (table[6] if record is None else (record[0], table[6][0])):
+        colour = table[5].get(s.through(pmap).label(obj, 1))
+        if colour is not None:
+            record_map(table, obj, pmap)
             return colour
     return None
 
@@ -382,8 +394,9 @@ def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool, table=None) -
     last as long as `table` (a fresh `label_table()` when none is given): the
     registry passes its own, so a call under a map already seen reuses them.
     An exact match records, in `table`, the pinned map P of the yield where
-    the orientation held: every vector of a has been pushed or checked by
-    then, so the basis spans a's vectors, and P takes b onto a.
+    the orientation held, as b's map and as the last map: every vector of a
+    has been pushed or checked by then, so the basis spans a's vectors, and
+    P takes b onto a.
     """
     matcher = GramMatcher(ctx, dim, proper)
     exact = ctx.mode == EXACT

@@ -6,9 +6,11 @@ they are equivalent. For plain hashable keys that is a dict. For geometric
 objects, equivalence is orbit equality under O(d)/SO(d), which is not
 hashable, so the registry keeps one representative per orbit (bucketed by
 the geometry-free skeleton plus, in exact mode, a norm multiset) and
-searches linearly within a bucket. In exact mode a Node is first read
-through the map its centre was matched under (`objects.carried_match`),
-one label per representative, and the bucket is searched only on a miss.
+searches linearly within a bucket. In exact mode an object is first read
+through the map its centre was matched under, then through the last map
+that matched (`objects.carried_match`), and its label looked up among the
+labels of every object interned so far; the bucket is built and searched
+only on a miss.
 A fresh registry is deterministic: colours are handed out in
 first-encounter order.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Tuple
 
 from .numeric import EXACT, NumericContext
-from .objects import carried_match, label_table, norm_profile, orbit_equal, record_map, skeleton
+from .objects import carried_match, label_table, norm_profile, orbit_equal, record_colour, skeleton
 
 
 class OrbitRegistry:
@@ -52,18 +54,18 @@ class OrbitRegistry:
     def intern_orbit(self, obj) -> int:
         """Colour for a geometric object, injective on O/SO orbits."""
         exact = self.ctx.mode == EXACT
-        profile = norm_profile(obj, self.ctx) if exact else None
-        bucket = self._orbits.setdefault((skeleton(obj), profile), [])
-        colour = carried_match(obj, bucket, self._label_table) if exact and bucket else None
-        if colour is not None:
-            return colour
-        for rep, colour in bucket:
-            if orbit_equal(rep, obj, self.ctx, self.dim, self.proper, self._label_table):
-                return colour
-        colour = self._fresh()
-        bucket.append((obj, colour))
+        colour = carried_match(obj, self._label_table) if exact else None
+        if colour is None:
+            profile = norm_profile(obj, self.ctx) if exact else None
+            bucket = self._orbits.setdefault((skeleton(obj), profile), [])
+            for rep, colour in bucket:
+                if orbit_equal(rep, obj, self.ctx, self.dim, self.proper, self._label_table):
+                    break
+            else:
+                colour = self._fresh()
+                bucket.append((obj, colour))
         if exact:
-            record_map(self._label_table, obj)
+            record_colour(self._label_table, obj, colour)
         return colour
 
     def intern_bag(self, bag: Tuple[tuple, ...]) -> int:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import connected_cutoff, exact_graph
+from conftest import connected_cutoff, exact_graph, grid
 
 from geowl import (
     Child,
@@ -475,8 +475,8 @@ def test_a_recorded_map_that_carries_no_rep_falls_back_to_the_search(grp, turn, 
         searched.append(b)
         return orbit_equal(a, b, *args)
 
-    def carry_spy(obj, bucket, table):
-        colour = carried_match(obj, bucket, table)
+    def carry_spy(obj, table):
+        colour = carried_match(obj, table)
         if isinstance(obj, Node):
             carried.append((obj, id(obj.obj) in table[3], colour))
         return colour
@@ -491,18 +491,13 @@ def test_a_recorded_map_that_carries_no_rep_falls_back_to_the_search(grp, turn, 
     assert found == [0, 0, 1, 1 if grp.variant == "O" else 2]
     assert carried[-1] == (mirrored, True, None)
     assert searched[-1] is mirrored
-    monkeypatch.setattr("geowl.registry.carried_match", lambda obj, bucket, table: None)
+    monkeypatch.setattr("geowl.registry.carried_match", lambda obj, table: None)
     assert colours() == found
 
 
-@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
-def test_gwl_on_a_copy_of_a_rigid_cloud_searches_only_in_the_first_iteration(grp, monkeypatch):
-    # each object wraps its node's object of the iteration before, so the
-    # map that matched that centre carries the object onto its
-    # representative; only the first iteration, over Leaf centres, searches
-    g = gen_random_cloud(8, 3, 1)
-    g = with_cutoff_sq(g, 2 * mst_bottleneck_sq(g.positions))
-    h = apply_isometry(g, random_isometry(8, 3, 1, proper=True))
+def searches_of_gwl(g, h, grp, monkeypatch):
+    """The b-side objects that GWL on (g, h) searches for; (g, h) must not
+    be told apart."""
     searched = []
 
     def spy(a, b, *args):
@@ -512,8 +507,71 @@ def test_gwl_on_a_copy_of_a_rigid_cloud_searches_only_in_the_first_iteration(grp
     monkeypatch.setattr("geowl.registry.orbit_equal", spy)
     verdict, trace = run_gwl(g, h, grp)
     assert not verdict.distinguished and len(trace.rows) > 3
-    assert len(searched) == 8
-    assert all(isinstance(b.obj, Leaf) for b in searched)
+    return searched
+
+
+@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
+def test_gwl_on_a_copy_of_a_rigid_cloud_searches_once(grp, monkeypatch):
+    # the copy is one isometry: the first search of the copy's objects
+    # records its map, the other objects of the first iteration are read
+    # through that last map, and every later object through its centre's
+    g = gen_random_cloud(8, 3, 1)
+    g = with_cutoff_sq(g, 2 * mst_bottleneck_sq(g.positions))
+    h = apply_isometry(g, random_isometry(8, 3, 1, proper=True))
+    searched = searches_of_gwl(g, h, grp, monkeypatch)
+    assert len(searched) == 1
+    assert isinstance(searched[0].obj, Leaf)
+
+
+def test_gwl_on_a_copy_of_the_cube_is_carried_onto_objects_that_are_not_representatives(monkeypatch):
+    # the cube's objects are matched under its symmetries, and a copy's
+    # object read through a recorded map lands on the first graph's object
+    # of the same node, mostly not its orbit's representative: with every
+    # interned object's label looked up, 4 searches are left (15 when only
+    # representatives' labels are compared)
+    g = grid(2, 2, 2)
+    h = apply_isometry(g, random_isometry(8, 3, 7, proper=True))
+    assert len(searches_of_gwl(g, h, SO3, monkeypatch)) == 4
+
+
+def chiral_node(q=((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+    """A Node over a bare Leaf centre whose three children, of three
+    colours, span space, turned by q; q = diag(1, 1, -1) mirrors it."""
+    rels = (f(1, 0, 0), f(1, 2, 0), f(1, 1, 3))
+    node = Node(0, Leaf(0, ()), tuple(Child(k, Leaf(k, ()), r) for k, r in enumerate(rels)))
+    return rotate_obj(node, q)
+
+
+@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
+def test_a_last_map_that_carries_nothing_falls_back_to_the_search(grp, monkeypatch):
+    # a turned copy is searched and leaves its turn as the last map; the
+    # mirror image has a Leaf centre, so only that last map is tried, and
+    # it reads the mirror image onto no interned label: the search decides,
+    # a reflection under O and a new colour under SO
+    turn, mirror = ((0, -1, 0), (1, 0, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+    objs = [chiral_node(), chiral_node(turn), chiral_node(mirror)]
+    searched, last_maps = [], []
+
+    def search_spy(a, b, *args):
+        searched.append(b)
+        return orbit_equal(a, b, *args)
+
+    def carry_spy(obj, table):
+        last_maps.append(table[6][0])
+        return carried_match(obj, table)
+
+    def colours():
+        reg = OrbitRegistry(CTX, 3, grp.proper)
+        return [reg.intern_orbit(o) for o in objs]
+
+    monkeypatch.setattr("geowl.registry.orbit_equal", search_spy)
+    monkeypatch.setattr("geowl.registry.carried_match", carry_spy)
+    found = colours()
+    assert found == [0, 0, 0 if grp.variant == "O" else 1]
+    assert last_maps[-1] is not None
+    assert [id(b) for b in searched] == [id(o) for o in objs[1:]]
+    monkeypatch.setattr("geowl.registry.carried_match", lambda obj, table: None)
+    assert colours() == found
 
 
 @pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])

@@ -200,6 +200,15 @@ def _two_nodes(**changes):
     return {key: value for key, value in data.items() if value is not None}
 
 
+# a top level or a node that is not a JSON object, by test id
+NOT_OBJECTS = {
+    "top-list": [1, 2],
+    "top-null": None,
+    "node-int": _two_nodes(nodes=[5, {"s": [0], "x": ["1", "0"]}]),
+    "node-string": _two_nodes(nodes=["x", {"s": [0], "x": ["1", "0"]}]),
+}
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -231,13 +240,14 @@ def _two_nodes(**changes):
         _two_nodes(nodes=[{"s": [True], "x": ["0", "0"]}, {"s": [0], "x": ["1", "0"]}]),
         # NaN != NaN, so a file would be told apart from itself
         _two_nodes(nodes=[{"s": [float("nan")], "x": ["0", "0"]}, {"s": [0], "x": ["1", "0"]}]),
+        *NOT_OBJECTS.values(),
     ],
     ids=[
         "dim-not-int", "dim-4", "edge-float", "edge-bool", "scalar-list", "cutoff-dim",
         "string-fields", "string-vector", "object-position", "object-scalars",
         "nodes-int", "nodes-object", "exact-position-bool", "exact-vector-bool",
         "exact-cutoff-bool", "float-position-bool", "float-vector-bool", "float-cutoff-bool",
-        "scalar-bool", "scalar-nan",
+        "scalar-bool", "scalar-nan", *NOT_OBJECTS,
     ],
 )
 def test_malformed_graph_field_is_input_error(tmp_path, capsys, data):
@@ -248,6 +258,15 @@ def test_malformed_graph_field_is_input_error(tmp_path, capsys, data):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", NOT_OBJECTS)
+def test_a_graph_or_node_that_is_not_an_object_is_named(tmp_path, capsys, case):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(NOT_OBJECTS[case]))
+    assert main(["distinguish", str(path), str(path)]) == EXIT_INPUT
+    what = "a graph file" if case.startswith("top") else "bad node 0:"
+    assert capsys.readouterr().err == f"error: {path}: {what} must be a JSON object\n"
 
 
 @pytest.fixture

@@ -212,18 +212,21 @@ def test_the_registry_label_table_changes_no_verdict_or_trace(data, d, variant):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data(), st.sampled_from([2, 3]), st.sampled_from(["O", "SO"]))
 def test_the_carried_match_changes_no_verdict_or_trace(data, d, variant):
-    # a Node read through the map its centre matched under is given a
-    # representative's colour only when the two are orbit equal, and at
-    # most one representative of a bucket is, so the scan alone must agree
+    # an object read through its centre's map or the last map that matched
+    # is given an interned object's colour only when the two are orbit
+    # equal, and that colour is its orbit's, so the scan alone must agree;
+    # IGWL's objects have fresh Leaf centres and are read through the last
+    # map only
     g1, g2 = data.draw(near_copies(d))
     grp = GroupSpec(variant, d)
 
-    def report():
-        return json.dumps(report_dict("gwl", grp, *run_gwl(g1, g2, grp)))
+    def reports():
+        runs = {"gwl": run_gwl(g1, g2, grp), "igwl": run_igwl(g1, g2, grp)}
+        return json.dumps([report_dict(test, grp, *run) for test, run in runs.items()])
 
-    carried = report()
-    with mock.patch("geowl.registry.carried_match", lambda obj, bucket, table: None):
-        assert report() == carried
+    carried = reports()
+    with mock.patch("geowl.registry.carried_match", lambda obj, table: None):
+        assert reports() == carried
 
 
 def float_scaled(g, unit, k):

@@ -18,8 +18,8 @@ makes a context, except the one shared exact context `objects._EXACT`.
 
 A label table of `objects.orbit_equal` is made per registry, or per call
 when the caller passes none, so its labels last one compared pair at most.
-The maps it records for interned objects are written and read only through
-such a table.
+The maps it records for interned objects, the colours it keeps by label and
+the last map that matched are written and read only through such a table.
 """
 import ast
 from pathlib import Path
@@ -220,11 +220,42 @@ def test_label_tables_are_made_only_per_registry_or_per_call():
     assert made == [("objects.py", "orbit_equal"), ("registry.py", "__init__")]
 
 
+def _table_writes(tree):
+    """(enclosing function name, written expression) of each assignment to,
+    or mutating method call on, an item of a label table's entry k, read as
+    `<expr>[k]` with k the literal 5 or 6; the name is None at module level."""
+    found = []
+
+    def entry(node):
+        return (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant)
+            and node.slice.value in (5, 6)
+        )
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Subscript) and entry(target.value):
+                found.append((func, ast.unparse(target.value)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and entry(node.func.value):
+            if node.func.attr in ("setdefault", "update", "pop", "popitem", "clear", "append", "extend"):
+                found.append((func, ast.unparse(node.func.value)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
 def test_recorded_maps_are_kept_only_in_a_label_table():
-    # a recorded map is kept by id(obj) for as long as its table lives, so
-    # it is written and read only through a table the caller passes: the
+    # a recorded map, a colour kept by label and the last map that matched
+    # are kept by id(obj) or by label for as long as their table lives, so
+    # they are written and read only through a table the caller passes: the
     # registry's own, or orbit_equal's per call, never one at module level
-    table_arg = {"carried_match": 2, "record_map": 0}
+    table_arg = {"carried_match": 1, "record_map": 0, "record_colour": 0}
     calls = [
         (path.name, func, call.func.id, ast.unparse(call.args[table_arg[call.func.id]]))
         for path in SOURCES
@@ -237,5 +268,14 @@ def test_recorded_maps_are_kept_only_in_a_label_table():
         ("objects.py", "carried_match", "record_map", "table"),
         ("objects.py", "orbit_equal", "record_map", "table"),
         ("registry.py", "intern_orbit", "carried_match", "self._label_table"),
-        ("registry.py", "intern_orbit", "record_map", "self._label_table"),
+        ("registry.py", "intern_orbit", "record_colour", "self._label_table"),
+    ]
+    writes = [
+        (path.name, func, written)
+        for path in SOURCES
+        for func, written in _table_writes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert writes == [
+        ("objects.py", "record_map", "table[6]"),
+        ("objects.py", "record_colour", "table[5]"),
     ]
