@@ -38,8 +38,10 @@ class CliUsageError(Exception):
     pass
 
 
-def _tolerance_default() -> float:
-    raw = os.environ.get(TOLERANCE_ENV)
+def _tolerance(flag: Optional[float]) -> float:
+    """--tolerance, else GWLKIT_TOLERANCE, else the default; a value that is
+    not a positive finite number is an input error naming its source."""
+    raw, name = (flag, "--tolerance") if flag is not None else (os.environ.get(TOLERANCE_ENV), TOLERANCE_ENV)
     if raw is None:
         return DEFAULT_EPS
     try:
@@ -47,7 +49,7 @@ def _tolerance_default() -> float:
     except ValueError:
         raise CliInputError(f"{TOLERANCE_ENV} is not a number: {raw!r}")
     if not (math.isfinite(eps) and eps > 0):
-        raise CliInputError(f"{TOLERANCE_ENV} must be a positive finite number")
+        raise CliInputError(f"{name} must be a positive finite number")
     return eps
 
 
@@ -314,13 +316,18 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "tolerance", None) is None and hasattr(args, "tolerance"):
-            args.tolerance = _tolerance_default()
+        if hasattr(args, "tolerance"):
+            args.tolerance = _tolerance(args.tolerance)
         if args.cmd == "distinguish":
             if args.test == "igwl-k" and args.k is None:
                 parser.error("--test igwl-k requires --k")
             if args.test != "igwl-k" and args.k is not None:
                 parser.error("--k only applies to --test igwl-k")
+            # the engines check these too, but name no flag
+            if args.k is not None and args.k < 2:
+                raise CliInputError("--k must be at least 2")
+            if args.max_iters is not None and args.max_iters < 1:
+                raise CliInputError("--max-iters must be at least 1")
             return cmd_distinguish(args)
         if args.cmd == "gen":
             return cmd_gen(args)

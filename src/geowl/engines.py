@@ -2,12 +2,13 @@
 
 Every engine is a colour stream: `colours(g)` is a generator that yields
 the t = 0 colours and then one colour list per iteration, keeping any
-per-graph state (GWL's growing objects) as its own locals. Both graphs'
-streams share one registry, so colour ids are directly comparable between
-the two graphs. `_refine` walks the two streams side by side and compares
-per-graph colour histograms at every iteration (including t=0); it stops
-at the first differing histogram, when the induced partition repeats, or
-at the iteration cap.
+per-graph state (GWL's growing objects, the relative vectors built at the
+first iteration) as its own locals. Both graphs' streams share one
+registry, so colour ids are directly comparable between the two graphs.
+`_refine` walks the two streams side by side and compares per-graph
+colour histograms at every iteration (including t=0); it stops at the
+first differing histogram, when the induced partition repeats, or at the
+iteration cap.
 
 GWL and IGWL colour objects by `OrbitRegistry.intern_orbit`, which is
 injective on O(d)/SO(d) orbits. `i_hash_k` is the lossy k-body variant
@@ -222,13 +223,16 @@ def _leaves(g: GeometricGraph, c: List[int]) -> List[Leaf]:
     return [Leaf(c[i], g.vectors[i]) for i in range(g.n)]
 
 
-def _nodes(g: GeometricGraph, c: List[int], sub: Sequence) -> List[Node]:
+def _rels(g: GeometricGraph) -> List[List[Tuple[int, Vec]]]:
+    """Each node i's (j, x_i - x_j) over its neighbours j, in order. Every
+    iteration reads the same ones, so a stream builds them once."""
+    return [[(j, g.rel_vec(i, j)) for j in g.neighbors(i)] for i in range(g.n)]
+
+
+def _nodes(rels: Sequence, c: List[int], sub: Sequence) -> List[Node]:
     """Depth-one objects: node i's colour and sub-object, with each
-    neighbour's colour, sub-object and relative position."""
-    return [
-        Node(c[i], sub[i], tuple(Child(c[j], sub[j], g.rel_vec(i, j)) for j in g.neighbors(i)))
-        for i in range(g.n)
-    ]
+    neighbour's colour, sub-object and relative position (rels: `_rels`)."""
+    return [Node(c[i], sub[i], tuple(Child(c[j], sub[j], r) for j, r in nbrs)) for i, nbrs in enumerate(rels)]
 
 
 def run_wl(
@@ -257,11 +261,12 @@ def run_gwl(
     neighbourhood geometry, coloured injectively on group orbits."""
     def colours(g: GeometricGraph, reg: OrbitRegistry) -> Iterator[List[int]]:
         c = _scalar_colours(g, reg)
-        objs = _leaves(g, c)
+        yield c
+        rels, objs = _rels(g), _leaves(g, c)
         while True:
-            yield c
-            objs = _nodes(g, c, objs)
+            objs = _nodes(rels, c, objs)
             c = [reg.intern_orbit(o) for o in objs]
+            yield c
 
     return _run(g1, g2, grp, max_iters, colours, stable_exit=False)
 
@@ -279,9 +284,11 @@ def run_igwl(
     """
     def colours(g: GeometricGraph, reg: OrbitRegistry) -> Iterator[List[int]]:
         c = _scalar_colours(g, reg)
+        yield c
+        rels = _rels(g)
         while True:
+            c = [reg.intern_orbit(o) for o in _nodes(rels, c, _leaves(g, c))]
             yield c
-            c = [reg.intern_orbit(o) for o in _nodes(g, c, _leaves(g, c))]
 
     return _run(g1, g2, grp, max_iters, colours)
 
@@ -350,16 +357,13 @@ def run_igwl_k(
 
     def colours(g: GeometricGraph, reg: OrbitRegistry) -> Iterator[List[int]]:
         c = _scalar_colours(g, reg)
+        yield c
+        rels = _rels(g)
         while True:
-            yield c
             c = [
-                i_hash_k(
-                    (c[i], g.vectors[i]),
-                    [(c[j], g.vectors[j], g.rel_vec(i, j)) for j in g.neighbors(i)],
-                    k,
-                    reg,
-                )
-                for i in range(g.n)
+                i_hash_k((c[i], g.vectors[i]), [(c[j], g.vectors[j], r) for j, r in nbrs], k, reg)
+                for i, nbrs in enumerate(rels)
             ]
+            yield c
 
     return _run(g1, g2, grp, max_iters, colours)

@@ -27,16 +27,17 @@ tolerance a key is not stable, since nearby vectors round to different
 numbers, and equal keys would not bound the error against other vectors.
 
 Each exact match is recorded with the pinned map P that took the object
-onto an interned one, and the registry keeps every interned object's
-label, read as it is, with its colour. GWL's object at iteration t wraps
-the same node's object of t - 1 as its centre, so P mostly takes the new
-object onto an interned object too; and an isometric copy is one global
-map, so the last map that matched mostly carries the next object, a
-first-iteration one included. `carried_match` reads a new object through
-its centre's P, then through the last map, and looks its label up: equal
-labels make the two orbit equal for the reason pinned labels do, so the
-colour found is the one the search would find, and a miss falls back to
-the search. Float mode keeps the search.
+onto an interned one (None, as it is, when it matched none), and the
+registry keeps every interned object's label, read as it is, with its
+colour. GWL's object at iteration t wraps the same node's object of t - 1
+as its centre, so the centre's P is the map that can carry it onto the
+object around the centre's match: `carried_match` reads a new object
+through that map only, and through the last map that matched only when
+the centre has none (a Leaf: GWL's first iteration and every IGWL
+object), as an isometric copy is one global map. It looks the label up:
+equal labels make the two orbit equal for the reason pinned labels do, so
+the colour found is the one the search would find, and a miss falls back
+to the search. Float mode keeps the search.
 """
 from __future__ import annotations
 
@@ -332,8 +333,8 @@ def label_table() -> tuple:
     and that Q is proper under SO, since the orientation was checked at
     full rank and below it a reflection of the complement fixes the sign.
     The colours map the label of every interned object, read as it is, to
-    its colour. `carried_match` reads a new object through its centre's P
-    and then through the last map, and looks its label up there.
+    its colour. `carried_match` reads a new object through one map, its
+    centre's P, or the last map when the centre has none, and looks it up.
     """
     return {}, {}, {}, {}, {}, {}, [None]
 
@@ -353,9 +354,11 @@ def record_colour(table: tuple, obj, colour: int) -> None:
 
 
 def carried_match(obj, table: tuple) -> Optional[int]:
-    """The colour recorded under obj's label read through its centre's
-    recorded map, or else through the last map under which a match held,
-    with that map recorded for obj; None when neither label is recorded.
+    """The colour recorded under obj's label read through one map, with
+    that map recorded for obj; None when that label is not recorded. The
+    map is the centre's recorded map, which took the centre onto an
+    interned object (None, as it is, when the centre matched nothing), or
+    the last map under which a match held when the centre has none.
 
     Equal labels under P mean every Q extending P's basis pairs sends obj
     onto the interned object x that holds the label (`_Search` says why),
@@ -365,13 +368,11 @@ def carried_match(obj, table: tuple) -> Optional[int]:
     misses: P w = u with |w| = |u| puts w in its span.
     """
     record = table[3].get(id(obj.obj)) if isinstance(obj, Node) else None
-    s = _Search(table)
-    for pmap in (table[6] if record is None else (record[0], table[6][0])):
-        colour = table[5].get(s.through(pmap).label(obj, 1))
-        if colour is not None:
-            record_map(table, obj, pmap)
-            return colour
-    return None
+    pmap = table[6][0] if record is None else record[0]
+    colour = table[5].get(_Search(table).through(pmap).label(obj, 1))
+    if colour is not None:
+        record_map(table, obj, pmap)
+    return colour
 
 
 def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool, table=None) -> bool:

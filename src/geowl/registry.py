@@ -7,10 +7,10 @@ objects, equivalence is orbit equality under O(d)/SO(d), which is not
 hashable, so the registry keeps one representative per orbit (bucketed by
 the geometry-free skeleton plus, in exact mode, a norm multiset) and
 searches linearly within a bucket. In exact mode an object is first read
-through the map its centre was matched under, then through the last map
-that matched (`objects.carried_match`), and its label looked up among the
-labels of every object interned so far; the bucket is built and searched
-only on a miss.
+through one map, the one its centre was matched under, or the last map
+that matched when its centre has none (`objects.carried_match`), and its
+label looked up among the labels of every object interned so far; the
+bucket is built and searched only on a miss.
 A fresh registry is deterministic: colours are handed out in
 first-encounter order.
 """

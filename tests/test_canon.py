@@ -11,6 +11,7 @@ from conftest import connected_cutoff, exact_graph, grid
 
 from geowl import (
     Child,
+    GeometricGraph,
     GroupSpec,
     Leaf,
     Node,
@@ -21,13 +22,15 @@ from geowl import (
     orbit_equal,
     random_isometry,
     run_gwl,
+    run_igwl,
+    run_igwl_k,
 )
 from geowl.generators import mst_bottleneck_sq
 from geowl.graph import with_cutoff_sq
-from geowl.engines import _leaves, _nodes, _pair, _scalar_colours, i_hash_k
+from geowl.engines import _leaves, _nodes, _pair, _rels, _scalar_colours, i_hash_k
 from geowl.linalg import independent_subset, matvec
 from geowl.numeric import exact_context, float_context
-from geowl.objects import carried_match, label_table
+from geowl.objects import _Search, carried_match, label_table
 
 CTX = exact_context()
 O2 = GroupSpec("O", 2)
@@ -155,7 +158,7 @@ def test_span_rank_is_the_rank_of_the_unfolded_object():
         c = _scalar_colours(g, reg)
         objs = _leaves(g, c)
         for _ in range(3):
-            objs = _nodes(g, c, objs)
+            objs = _nodes(_rels(g), c, objs)
             c = [reg.intern_orbit(o) for o in objs]
             for o in objs:
                 vecs = _unfolded(o)
@@ -510,17 +513,87 @@ def searches_of_gwl(g, h, grp, monkeypatch):
     return searched
 
 
+def rigid_copy():
+    g = gen_random_cloud(8, 3, 1)
+    g = with_cutoff_sq(g, 2 * mst_bottleneck_sq(g.positions))
+    return g, apply_isometry(g, random_isometry(8, 3, 1, proper=True))
+
+
 @pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
 def test_gwl_on_a_copy_of_a_rigid_cloud_searches_once(grp, monkeypatch):
     # the copy is one isometry: the first search of the copy's objects
     # records its map, the other objects of the first iteration are read
     # through that last map, and every later object through its centre's
-    g = gen_random_cloud(8, 3, 1)
-    g = with_cutoff_sq(g, 2 * mst_bottleneck_sq(g.positions))
-    h = apply_isometry(g, random_isometry(8, 3, 1, proper=True))
+    g, h = rigid_copy()
     searched = searches_of_gwl(g, h, grp, monkeypatch)
     assert len(searched) == 1
     assert isinstance(searched[0].obj, Leaf)
+
+
+def _sub_dag(obj, out):
+    """Add obj and every object under it to out, by id."""
+    if id(obj) not in out:
+        out[id(obj)] = obj
+        for sub in (obj.obj, *(c.obj for c in obj.children)) if isinstance(obj, Node) else ():
+            _sub_dag(sub, out)
+    return out
+
+
+@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
+def test_gwl_on_a_copy_of_a_rigid_cloud_reads_each_object_through_one_map(grp, monkeypatch):
+    # an object is read through its centre's recorded map alone; only an
+    # object whose centre has no record (a Leaf) is read through the last
+    # map. The first graph's objects are never matched, so none of them is
+    # labelled under the copy's map.
+    g, h = rigid_copy()
+    reads, interned = [], []
+
+    def through_spy(self, pmap):
+        reads[-1] += 1
+        return through(self, pmap)
+
+    def carry_spy(obj, table):
+        reads.append(0)
+        return carried_match(obj, table)
+
+    def intern_spy(self, obj):
+        interned.append((self, obj))
+        return intern_orbit(self, obj)
+
+    through, intern_orbit = _Search.through, OrbitRegistry.intern_orbit
+    monkeypatch.setattr(_Search, "through", through_spy)
+    monkeypatch.setattr("geowl.registry.carried_match", carry_spy)
+    monkeypatch.setattr(OrbitRegistry, "intern_orbit", intern_spy)
+    verdict, trace = run_gwl(g, h, grp)
+    assert not verdict.distinguished and len(trace.rows) > 3
+    assert len(reads) == len(interned) and set(reads) == {1}
+    # each stream interns its graph's n objects per iteration, g's first
+    first = {}
+    for k, (_, obj) in enumerate(interned):
+        if k // g.n % 2 == 0:
+            _sub_dag(obj, first)
+    table = interned[0][0]._label_table
+    copy_maps = [pmap for pmap in table[0] if pmap is not None]
+    assert copy_maps
+    for pmap in copy_maps:
+        assert not first.keys() & table[0][pmap][1].keys()
+
+
+@pytest.mark.parametrize("run", [run_gwl, run_igwl, lambda g, h, grp: run_igwl_k(g, h, grp, 3)],
+                         ids=["gwl", "igwl", "igwl-k"])
+def test_each_stream_builds_its_relative_vectors_once(run, monkeypatch):
+    g, h = rigid_copy()
+    calls = {}
+    rel_vec = GeometricGraph.rel_vec
+
+    def spy(self, i, j):
+        calls.setdefault(id(self), [self, 0])[1] += 1
+        return rel_vec(self, i, j)
+
+    monkeypatch.setattr(GeometricGraph, "rel_vec", spy)
+    _, trace = run(g, h, SO3)
+    assert len(trace.rows) >= 3
+    assert [count for _, count in calls.values()] == [2 * len(g.edges), 2 * len(h.edges)]
 
 
 def test_gwl_on_a_copy_of_the_cube_is_carried_onto_objects_that_are_not_representatives(monkeypatch):

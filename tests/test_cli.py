@@ -597,6 +597,37 @@ def test_non_finite_tolerance_is_input_error(input_files, capsys, monkeypatch, c
     assert "must be a positive finite number" in captured.err
 
 
+BAD_TOLERANCE = "--tolerance must be a positive finite number"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["distinguish", "{float}", "{float}", "--tolerance=0"], BAD_TOLERANCE),
+        (["distinguish", "{float}", "{float}", "--tolerance=-1"], BAD_TOLERANCE),
+        (["distinguish", "{float}", "{float}", "--tolerance=nan"], BAD_TOLERANCE),
+        (["distinguish", "{2d}", "{2d}", "--test", "so2", "--tolerance=0"], BAD_TOLERANCE),
+        (["iso", "{float}", "{float}", "--tolerance=0"], BAD_TOLERANCE),
+        (["props", "{float}", "--tolerance=0"], BAD_TOLERANCE),
+        (["so2", "hash", "{float}", "--tolerance=0"], BAD_TOLERANCE),
+        (["distinguish", "{2d}", "{2d}", "--max-iters", "0"], "--max-iters must be at least 1"),
+        (["so2", "refine", "{2d}", "{2d}", "--max-iters", "0"], "--max-iters must be at least 1"),
+        (["distinguish", "{2d}", "{2d}", "--test", "igwl-k", "--k", "1"], "--k must be at least 2"),
+    ],
+    ids=[
+        "distinguish-tolerance-0", "distinguish-tolerance-negative", "distinguish-tolerance-nan",
+        "so2-tolerance-0", "iso-tolerance-0", "props-tolerance-0", "so2-hash-tolerance-0",
+        "distinguish-max-iters-0", "so2-refine-max-iters-0", "igwl-k-k-1",
+    ],
+)
+def test_a_bad_flag_is_blamed_not_a_graph_file(input_files, capsys, argv, message):
+    assert main([arg.format(**input_files) for arg in argv]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert input_files["float"] not in captured.err and input_files["2d"] not in captured.err
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
