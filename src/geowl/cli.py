@@ -198,7 +198,10 @@ def cmd_props(args) -> int:
         quads.append(tuple(int(p) for p in parts))
         if not all(0 <= i < g.n for i in quads[-1]):
             raise CliInputError(f"--dihedral {raw}: node indices must be 0..{g.n - 1}")
-    data = properties.property_report(g, quads).to_dict()
+    try:
+        data = properties.property_report(g, quads).to_dict()
+    except ValueError as exc:  # a value past the float range, a collinear triple
+        raise CliInputError(f"{args.graph}: {exc}")
     if args.format == "json":
         print(json.dumps(data, indent=1))
     else:
@@ -229,16 +232,18 @@ def cmd_so2(args) -> int:
     g = _load(args.graph, args.tolerance)
     if g.dim != 2:
         raise CliInputError("so2 commands require a 2-dimensional graph")
-    pts = list(g.positions)
-    if args.so2_cmd == "stab":
-        info = so2.stabilizer_order(pts, args.tolerance)
-        if info.continuous:
-            print("stabilizer: continuous")
-        else:
-            print(f"stabilizer order: {info.order} (theta = {info.theta:.6f})")
-        return EXIT_SAME
-    h = so2.so2_hash(pts, so2.so2_registry(args.tolerance))  # so2_cmd == "hash"
-    print(json.dumps({"vector": list(h.vector), "norm": h.norm, "angle": h.angle}))
+    try:  # the points are read as floats: an exact one may lie past their range
+        if args.so2_cmd == "hash":
+            h = so2.so2_hash(g.positions, so2.so2_registry(args.tolerance))
+            print(json.dumps({"vector": list(h.vector), "norm": h.norm, "angle": h.angle}))
+            return EXIT_SAME
+        info = so2.stabilizer_order(g.positions, args.tolerance)
+    except ValueError as exc:
+        raise CliInputError(f"{args.graph}: {exc}")
+    if info.continuous:
+        print("stabilizer: continuous")
+    else:
+        print(f"stabilizer order: {info.order} (theta = {info.theta:.6f})")
     return EXIT_SAME
 
 

@@ -228,13 +228,18 @@ def build_radial_graph(points, r, mode: Optional[str] = None, eps: float = DEFAU
         dim, positions, (), [tuple(p[0]) for p in points], [p[1] or () for p in points],
         mode=mode, eps=eps,
     )
-    r = g.ctx.coerce(r)
+    return _with_cutoff(g, g.ctx.coerce(r))
+
+
+def _with_cutoff(g: GeometricGraph, r) -> GeometricGraph:
+    """g re-edged by the positive cutoff radius r (in g's mode), warning of
+    coincident points: build_radial_graph's and a graph file's `cutoff`."""
     if not r > 0:  # strictly, at any unit of length
         raise GraphError("cutoff radius must be positive")
     edges, coincident = _cutoff_edges(g, r, squared=False)
     if coincident:
         msg = "coincident points in radial-cutoff input: distance 0 produces no edge"
-        warnings.warn(msg, CoincidentPointsWarning, stacklevel=2)
+        warnings.warn(msg, CoincidentPointsWarning, stacklevel=3)
     return replace(g, edges=edges)
 
 
@@ -449,6 +454,7 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
         if any(len(vec) != dim for vec in (x,) + v):
             raise GraphFormatError(f"bad node {k}: every vector must have {dim} components")
         points.append((s, v, x))
+    edges, r = data.get("edges", []), None
     if "cutoff" in data:
         if "edges" in data:
             raise GraphFormatError("give either 'edges' or 'cutoff', not both")
@@ -456,15 +462,14 @@ def graph_from_dict(data: dict, eps: float = DEFAULT_EPS) -> GeometricGraph:
             r = ctx.coerce(data["cutoff"])
         except NumericError as exc:
             raise GraphFormatError(f"bad cutoff: {exc}") from exc
-        return build_radial_graph(points, r, mode=mode, eps=eps)
-    edges = data.get("edges", [])
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(type(i) is int for i in e) for e in edges
     ):
         raise GraphFormatError("edges must be a list of [i, j] node index pairs")
     # the components are coerced already: build the graph without a second pass
     scalars, vectors, positions = zip(*points) if points else ((), (), ())
-    return GeometricGraph(dim, ctx, scalars, vectors, positions, _normalise_edges(edges))
+    g = GeometricGraph(dim, ctx, scalars, vectors, positions, _normalise_edges(edges))
+    return g if r is None else _with_cutoff(g, r)
 
 
 def dump_graph(g: GeometricGraph, path: str) -> None:

@@ -122,8 +122,8 @@ def _finite_float(raw) -> float:
     distinguishable from an isometric copy of itself."""
     try:
         value = float(raw)
-    except OverflowError as exc:
-        raise NumericError(f"float component {raw!r} is out of range") from exc
+    except OverflowError as exc:  # an int or Fraction: its digits could fill a screen
+        raise NumericError("float component is out of range") from exc
     if not math.isfinite(value):
         raise NumericError(f"float component {value!r} is not finite")
     return value

@@ -19,25 +19,25 @@ each remaining vector w of b to P w, P the pinned partial map
 (`GramMatcher.pinned_map`). A vector u of a is named by the key (u.u, *u)
 and w by (w.w, *P w), equal exactly when u = Qw. The rest of the two
 objects is decided by integer labels built from these keys, one per
-sub-object and map, kept for the registry's life, and yields at most once.
-The check runs on entry to a Node pair, after its centre's alignment,
-and before each new child but the last: a last child cannot branch, and
-its sub-object is checked on entry. Float mode never pins: under a
-tolerance a key is not stable, since nearby vectors round to different
-numbers, and equal keys would not bound the error against other vectors.
+sub-object and map, and yields at most once. The check runs on entry to a
+Node pair, after its centre's alignment, and before each new child but the
+last: a last child cannot branch, and its sub-object is checked on entry.
+Float mode never pins: under a tolerance a key is not stable, since nearby
+vectors round to different numbers, and equal keys would not bound the
+error against other vectors.
 
-Each exact match is recorded with the pinned map P that took the object
-onto an interned one (None, as it is, when it matched none), and the
-registry keeps every interned object's label, read as it is, with its
-colour. GWL's object at iteration t wraps the same node's object of t - 1
-as its centre, so the centre's P is the map that can carry it onto the
-object around the centre's match: `carried_match` reads a new object
-through that map only, and through the last map that matched only when
-the centre has none (a Leaf: GWL's first iteration and every IGWL
-object), as an isometric copy is one global map. It looks the label up:
-equal labels make the two orbit equal for the reason pinned labels do, so
-the colour found is the one the search would find, and a miss falls back
-to the search. Float mode keeps the search.
+One `LabelTable` per registry keeps this bookkeeping for the registry's
+life: the labels, each exact match's pinned map P that took the object
+onto an interned one (None, as it is, when it matched none), and every
+interned object's label, read as it is, with its colour. GWL's object at
+iteration t wraps the same node's object of t - 1 as its centre, so the
+centre's P is the map that can carry it onto the object around the
+centre's match: `LabelTable.carried_match` reads a new object through that
+map only, and through the last map that matched only when the centre has
+none (a Leaf: GWL's first iteration and every IGWL object), as an
+isometric copy is one global map. It looks the label up: equal labels make
+the two orbit equal for the reason pinned labels do, so the colour found
+is the one the search would find; a miss, and float mode, keep the search.
 """
 from __future__ import annotations
 
@@ -151,106 +151,133 @@ def norm_profile(obj, ctx: NumericContext) -> tuple:
     return tuple(sorted(norm_sq(v) for v in vecs))
 
 
-class _Search:
-    """The state of one orbit_equal call: its matcher, the basis size at
-    which the map is pinned, and the pinned caches in use, drawn from the
-    caller's label table.
+class LabelTable:
+    """The exact orbit bookkeeping of one registry (one compared pair), or
+    of one orbit_equal call when the caller passes none.
 
-    Within a pinned state each sub-object of each side gets an integer
-    label, as colour refinement gives one: the table's forms hand out one
-    int per form, and a Node's form holds its centre's label and its
-    children's labels. By induction on depth, b's object maps onto a's
-    under the pinned map exactly when their labels are equal. A key of a's
-    side depends only on its vector, and one of b's only on the pinned map
-    P, so the table keeps a key cache (by vector) and a label cache (by
-    id(obj)) for a's side and per P for b's, and P per pair of bases, for
-    its life. It holds each labelled object, so no id it caches is reused.
+    Once the map is pinned, each sub-object gets an integer label, as
+    colour refinement gives one: `forms` hands out one int per form, and a
+    Node's form holds its centre's label and its children's labels. By
+    induction on depth, b's object maps onto a's under the pinned map P
+    exactly when a's label, read as it is, equals b's read through P. A
+    reading (P, keys, labels) holds P (None: as it is), its key cache by
+    vector and its label cache by id(obj); `readings` keeps one per P, and
+    `maps` the one of the P that each pair of bases pins.
+
+    `recorded` keeps, by id(obj), the map P under which each object the
+    registry interned in exact mode matched an interned object, or None
+    (as it is) when it matched none. Any such P carries the proof of an
+    orbit map, not just of that match: its basis pairs have equal Grams, so
+    some orthogonal Q extends them, and that Q is proper under SO, since
+    the orientation was checked at full rank and below it a reflection of
+    the complement fixes the sign. `colours` maps the label of every
+    interned object, read as it is, to its colour; `last` is the last map
+    under which a match held (None until one does), and `tails` keeps a's
+    remaining-children triples by (id(cs), k). Every id-keyed entry holds
+    its object, so no cached id is reused while the table lives.
     """
 
-    __slots__ = ("matcher", "basis", "rank", "_caches", "_forms", "_maps", "_tails", "_sides")
+    __slots__ = ("readings", "forms", "maps", "recorded", "tails", "colours", "last")
 
-    def __init__(self, table: tuple, matcher: Optional[GramMatcher] = None, rank: int = -1):
-        self.matcher = matcher
-        self.basis = matcher.basis if matcher else ()
-        self.rank = rank
-        self._caches, self._forms, self._maps, _, self._tails, _, _ = table
-        self._sides = [self._side(None), None]
+    def __init__(self):
+        self.readings, self.last = {None: (None, {}, {})}, None
+        self.forms, self.maps, self.recorded, self.tails, self.colours = {}, {}, {}, {}, {}
 
-    def _side(self, pmap) -> tuple:
-        return (pmap, *self._caches.setdefault(pmap, ({}, {})))
+    def reading(self, pmap) -> tuple:
+        """The reading of b's side through pmap (None: as it is)."""
+        return self.readings.get(pmap) or self.readings.setdefault(pmap, (pmap, {}, {}))
 
-    def through(self, pmap) -> "_Search":
-        """Self, with b's side read through pmap (None: as it is)."""
-        self._sides[1] = self._side(pmap)
-        return self
+    def pinned(self, matcher: GramMatcher) -> tuple:
+        """The reading through the map that the matcher's basis pairs pin."""
+        bases = (tuple([matcher.v1[k] for k in matcher.basis]), tuple([matcher.v2[k] for k in matcher.basis]))
+        return self.maps.get(bases) or self.maps.setdefault(bases, self.reading(matcher.pinned_map()))
 
-    def pinned(self) -> "_Search":
-        """Self, with b's side read through the map its basis pairs pin."""
-        m = self.matcher
-        bases = (tuple(m.v1[k] for k in self.basis), tuple(m.v2[k] for k in self.basis))
-        side = self._maps.get(bases)
-        if side is None:
-            side = self._maps[bases] = self._side(m.pinned_map())
-        self._sides[1] = side
-        return self
-
-    def pinned_map(self):
-        """The map that the matcher's basis pairs pin (see `pinned`)."""
-        return self.pinned()._sides[1][0]
-
-    def _key(self, v: Vec, side: int) -> tuple:
-        cache = self._sides[side][1]
-        key = cache.get(v)
+    @staticmethod
+    def _key(v: Vec, reading: tuple) -> tuple:
+        pmap, keys, _ = reading
+        key = keys.get(v)
         if key is None:
-            image = v  # a's side, or b's read through None, is read as it is
-            if self._sides[side][0] is not None:
-                rows, q = self._sides[side][0]
+            image = v  # read as it is
+            if pmap is not None:
+                rows, q = pmap
                 image = [x // q if x % q == 0 else Fraction(x, q) for x in [sum(map(mul, row, v)) for row in rows]]
-            key = cache[v] = (sum(map(mul, v, v)), *image)
+            key = keys[v] = (sum(map(mul, v, v)), *image)
         return key
 
-    def label(self, obj, side: int) -> int:
-        """The int of obj's form on its side: a Leaf's colour and vector
+    def label(self, obj, reading: tuple) -> int:
+        """The int of obj's form in reading: a Leaf's colour and vector
         keys in order, or a Node's colour, centre label and children. A
         Leaf's form never holds an int after its colour, so no Leaf shares
         a label with a Node."""
-        labels = self._sides[side][2]
+        _, _, labels = reading
         entry = labels.get(id(obj))
         if entry is None:
             if isinstance(obj, Leaf):
-                form = (obj.colour, *[self._key(v, side) for v in obj.vectors])
+                form = (obj.colour, *[self._key(v, reading) for v in obj.vectors])
             else:
-                form = (obj.colour, self.label(obj.obj, side), self.triples(obj.children, side))
-            entry = labels[id(obj)] = (self._forms.setdefault(form, len(self._forms)), obj)
+                form = (obj.colour, self.label(obj.obj, reading), self.triples(obj.children, reading))
+            entry = labels[id(obj)] = (self.forms.setdefault(form, len(self.forms)), obj)
         return entry[0]
 
-    def triples(self, cs: Sequence[Child], side: int) -> tuple:
+    def triples(self, cs: Sequence[Child], reading: tuple) -> tuple:
         """The sorted (colour, key(rel), label) triples of cs: two bags of
         children match one to one under the pinned map iff these agree."""
         key, label = self._key, self.label
-        return tuple(sorted([(c.colour, key(c.rel, side), label(c.obj, side)) for c in cs]))
+        return tuple(sorted([(c.colour, key(c.rel, reading), label(c.obj, reading)) for c in cs]))
 
     def tail(self, cs: Tuple[Child, ...], k: int) -> tuple:
-        """triples(cs[k:], 0), kept for the table's life: a's side is read as
-        it is, so they depend on (cs, k) alone. The entry holds cs."""
-        entry = self._tails.get((id(cs), k))
+        """triples(cs[k:]) read as it is, as a's side is, by (cs, k); the entry holds cs."""
+        entry = self.tails.get((id(cs), k))
         if entry is None:
-            entry = self._tails[id(cs), k] = (self.triples(cs[k:], 0), cs)
+            entry = self.tails[id(cs), k] = (self.triples(cs[k:], self.readings[None]), cs)
         return entry[0]
 
+    def record_map(self, obj, pmap) -> None:
+        """Record that obj matched an interned object under pmap, as obj's map
+        and as the last map under which a match held."""
+        self.recorded[id(obj)] = (pmap, obj)
+        self.last = pmap
 
-def _align(a, b, s: _Search) -> Iterator[None]:
+    def record_colour(self, obj, colour: int) -> None:
+        """Record colour under obj's own label, read as it is, and None (as it
+        is) as obj's map when it matched nothing."""
+        self.recorded.setdefault(id(obj), (None, obj))
+        self.colours[self.label(obj, self.readings[None])] = colour
+
+    def carried_match(self, obj) -> Optional[int]:
+        """The colour recorded under obj's label read through one map, with
+        that map recorded for obj; None when that label is not recorded. The
+        map is the centre's recorded map, which took the centre onto an
+        interned object (None, as it is, when the centre matched nothing), or
+        the last map under which a match held when the centre has none.
+
+        Equal labels under P mean every Q extending P's basis pairs sends obj
+        onto the interned object x that holds the label, and such a Q is in
+        the group (the class docstring says why of both), so obj and x are
+        orbit equal and x's colour is the colour of their orbit: the one the
+        search would find. A P whose span misses some vector w of obj only
+        misses: P w = u with |w| = |u| puts w in its span.
+        """
+        record = self.recorded.get(id(obj.obj)) if isinstance(obj, Node) else None
+        pmap = self.last if record is None else record[0]
+        colour = self.colours.get(self.label(obj, self.reading(pmap)))
+        if colour is not None:
+            self.record_map(obj, pmap)
+        return colour
+
+
+def _align(a, b, matcher: GramMatcher, rank: int, table: LabelTable) -> Iterator[None]:
     """Yield once for each consistent alignment of a with b.
 
     While suspended at a yield, the matcher holds that alignment's pairs on
     top of what it held on entry; once exhausted, the generator has rewound
     the matcher to its starting mark. Frames nest once per tree level. Once
-    the map is pinned, on entry or by the centre's alignment, the pinned
-    check decides the pair and yields at most once, pushing nothing more.
+    the map is pinned (the basis has `rank` pairs), on entry or by the
+    centre's alignment, the pinned check decides the pair and yields at
+    most once, pushing nothing more.
     """
     if type(a) is not type(b) or a.colour != b.colour:
         return
-    matcher = s.matcher
     if isinstance(a, Leaf):
         # a Leaf yields at most once anyway, so it needs no pinned check
         if len(a.vectors) != len(b.vectors):
@@ -262,24 +289,27 @@ def _align(a, b, s: _Search) -> Iterator[None]:
         return
     if len(a.children) != len(b.children):
         return
+    basis = matcher.basis
     # a map pinned on entry needs no centre alignment: the labels decide
-    for _ in _align(a.obj, b.obj, s) if len(s.basis) != s.rank else (None,):
-        if len(s.basis) != s.rank:
-            yield from _align_children(a.children, b.children, s)
-        elif s.pinned().label(a, 0) == s.label(b, 1):
+    for _ in _align(a.obj, b.obj, matcher, rank, table) if len(basis) != rank else (None,):
+        if len(basis) != rank:
+            yield from _align_children(a.children, b.children, matcher, rank, table)
+        elif table.label(a, table.readings[None]) == table.label(b, table.pinned(matcher)):
             yield
 
 
 _DONE = object()
 
 
-def _align_children(ac: Tuple[Child, ...], bc: Tuple[Child, ...], s: _Search) -> Iterator[None]:
+def _align_children(
+    ac: Tuple[Child, ...], bc: Tuple[Child, ...], matcher: GramMatcher, rank: int, table: LabelTable
+) -> Iterator[None]:
     """Yield once for each assignment of ac to distinct partners in bc under
     which every child aligns, depth-first on an explicit stack of per-child
     partner generators. Before each new child but the last, once the map is
     pinned, the remaining children are matched against the unused partners
     by the pinned check instead."""
-    matcher, basis, rank = s.matcher, s.basis, s.rank
+    basis = matcher.basis
     used = set()
 
     def partners(ca: Child) -> Iterator[None]:
@@ -291,7 +321,7 @@ def _align_children(ac: Tuple[Child, ...], bc: Tuple[Child, ...], s: _Search) ->
             mark = matcher.mark()
             if matcher.push(ca.rel, cb.rel):
                 used.add(idx)
-                yield from _align(ca.obj, cb.obj, s)
+                yield from _align(ca.obj, cb.obj, matcher, rank, table)
                 used.discard(idx)
             matcher.rewind(mark)
 
@@ -305,8 +335,8 @@ def _align_children(ac: Tuple[Child, ...], bc: Tuple[Child, ...], s: _Search) ->
             yield
         elif k == last or len(basis) != rank:
             stack.append(partners(ac[k]))
-        elif s.pinned().tail(ac, k) == s.triples(
-            [cb for idx, cb in enumerate(bc) if idx not in used], 1
+        elif table.tail(ac, k) == table.triples(
+            [cb for idx, cb in enumerate(bc) if idx not in used], table.pinned(matcher)
         ):
             yield
         # move on to the next alignment of the deepest child started
@@ -317,62 +347,6 @@ def _align_children(ac: Tuple[Child, ...], bc: Tuple[Child, ...], s: _Search) ->
         else:
             return
         k = len(stack)
-
-
-def label_table() -> tuple:
-    """Empty dicts of caches per pinned map (None: a's side), forms, maps,
-    recorded maps, a's remaining-children triples and colours by label,
-    and a one-entry list holding the last map under which a match held
-    (None, as it is, until one does).
-
-    A recorded map is kept by id(obj), with obj, for each object the
-    registry interned in exact mode: the pinned map P under which it
-    matched an interned object, or None (as it is) when it matched none.
-    Any such P carries the proof of an orbit map, not just of that match:
-    its basis pairs have equal Grams, so some orthogonal Q extends them,
-    and that Q is proper under SO, since the orientation was checked at
-    full rank and below it a reflection of the complement fixes the sign.
-    The colours map the label of every interned object, read as it is, to
-    its colour. `carried_match` reads a new object through one map, its
-    centre's P, or the last map when the centre has none, and looks it up.
-    """
-    return {}, {}, {}, {}, {}, {}, [None]
-
-
-def record_map(table: tuple, obj, pmap) -> None:
-    """Record that obj matched an interned object under pmap, as obj's map
-    and as the last map under which a match held."""
-    table[3][id(obj)] = (pmap, obj)
-    table[6][0] = pmap
-
-
-def record_colour(table: tuple, obj, colour: int) -> None:
-    """Record colour under obj's own label, read as it is, and None (as it
-    is) as obj's map when it matched nothing."""
-    table[3].setdefault(id(obj), (None, obj))
-    table[5][_Search(table).label(obj, 0)] = colour
-
-
-def carried_match(obj, table: tuple) -> Optional[int]:
-    """The colour recorded under obj's label read through one map, with
-    that map recorded for obj; None when that label is not recorded. The
-    map is the centre's recorded map, which took the centre onto an
-    interned object (None, as it is, when the centre matched nothing), or
-    the last map under which a match held when the centre has none.
-
-    Equal labels under P mean every Q extending P's basis pairs sends obj
-    onto the interned object x that holds the label (`_Search` says why),
-    and `label_table` why such a Q exists in the group, so obj and x are
-    orbit equal and x's colour is the colour of their orbit: the one the
-    search would find. A P whose span misses some vector w of obj only
-    misses: P w = u with |w| = |u| puts w in its span.
-    """
-    record = table[3].get(id(obj.obj)) if isinstance(obj, Node) else None
-    pmap = table[6][0] if record is None else record[0]
-    colour = table[5].get(_Search(table).through(pmap).label(obj, 1))
-    if colour is not None:
-        record_map(table, obj, pmap)
-    return colour
 
 
 def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool, table=None) -> bool:
@@ -386,13 +360,13 @@ def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool, table=None) -
 
     In exact mode the search pins once the matcher's basis reaches the rank
     of a's vectors (the module docstring says why that is exact) and then
-    compares the labels of `_Search.label`: equal labels mean the map sends
-    b's sub-object onto a's, so children tied on (colour, key) need no
+    compares the labels of `LabelTable.label`: equal labels mean the map
+    sends b's sub-object onto a's, so children tied on (colour, key) need no
     search, and a Node pair whose centre's alignment pins the map is decided
     by the Nodes' labels. At full rank every completion of a pinned alignment
     is the same Q, and below full rank `orientation_ok` is True, so one yield
     per pinned state suffices. Float mode keeps the generic search. Labels
-    last as long as `table` (a fresh `label_table()` when none is given): the
+    last as long as `table` (a fresh `LabelTable` when none is given): the
     registry passes its own, so a call under a map already seen reuses them.
     An exact match records, in `table`, the pinned map P of the yield where
     the orientation held, as b's map and as the last map: every vector of a
@@ -401,12 +375,12 @@ def orbit_equal(a, b, ctx: NumericContext, dim: int, proper: bool, table=None) -
     """
     matcher = GramMatcher(ctx, dim, proper)
     exact = ctx.mode == EXACT
-    table = table or label_table()
+    table = table or LabelTable()
     # float mode never pins: a basis never has length -1
-    s = _Search(table, matcher, len(a.span) if exact else -1)
-    for _ in _align(a, b, s):
+    for _ in _align(a, b, matcher, len(a.span) if exact else -1, table):
         if matcher.orientation_ok():
             if exact:
-                record_map(table, b, s.pinned_map())
+                pmap, _, _ = table.pinned(matcher)
+                table.record_map(b, pmap)
             return True
     return False

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 from . import linalg
 from .graph import GeometricGraph
-from .numeric import EXACT, Vec
+from .numeric import EXACT, NumericError, Vec, _finite_float
 
 
 class DegenerateGeometryError(ValueError):
@@ -33,22 +33,30 @@ class PropertyReport:
     dihedrals: Dict[Tuple[int, int, int, int], object]
 
     def to_dict(self) -> dict:
+        """The report in floats. A value that is no finite float (past the
+        float range, or infinite in float mode) raises NumericError naming
+        it: JSON has no infinity, and an infinite distance tells nothing."""
+
+        def finite(name, value) -> float:
+            try:
+                return _finite_float(value)
+            except NumericError:
+                raise NumericError(f"{name} is not a finite float") from None
+
         out = {
             "dim": self.dim,
-            "extents": [float(e) for e in self.extents],
-            "perimeter": float(self.perimeter),
-            "area": float(self.area),
-            "centroid": [float(c) for c in self.centroid],
-            "centroid_distances": [
-                math.sqrt(float(d)) for d in self.centroid_sq_distances
-            ],
-            "centroid_sq_distances": [float(d) for d in self.centroid_sq_distances],
+            "extents": [finite("extents", e) for e in self.extents],
+            "perimeter": finite("perimeter", self.perimeter),
+            "area": finite("area", self.area),
+            "centroid": [finite("centroid", c) for c in self.centroid],
+            "centroid_distances": [math.sqrt(finite("centroid distances", d)) for d in self.centroid_sq_distances],
+            "centroid_sq_distances": [finite("centroid distances", d) for d in self.centroid_sq_distances],
         }
         if self.volume is not None:
-            out["volume"] = float(self.volume)
+            out["volume"] = finite("volume", self.volume)
         if self.dihedrals:
             out["dihedrals"] = {
-                ",".join(map(str, q)): float(v) for q, v in self.dihedrals.items()
+                ",".join(map(str, q)): finite(f"dihedral {q}", v) for q, v in self.dihedrals.items()
             }
         return out
 

@@ -6,11 +6,11 @@ they are equivalent. For plain hashable keys that is a dict. For geometric
 objects, equivalence is orbit equality under O(d)/SO(d), which is not
 hashable, so the registry keeps one representative per orbit (bucketed by
 the geometry-free skeleton plus, in exact mode, a norm multiset) and
-searches linearly within a bucket. In exact mode an object is first read
-through one map, the one its centre was matched under, or the last map
-that matched when its centre has none (`objects.carried_match`), and its
-label looked up among the labels of every object interned so far; the
-bucket is built and searched only on a miss.
+searches linearly within a bucket. In exact mode the registry's one
+`objects.LabelTable` first reads an object through one map, the one its
+centre was matched under, or the last map that matched when its centre has
+none (`LabelTable.carried_match`), and looks its label up among the labels
+of every object interned so far; only a miss builds and searches a bucket.
 A fresh registry is deterministic: colours are handed out in
 first-encounter order.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Tuple
 
 from .numeric import EXACT, NumericContext
-from .objects import carried_match, label_table, norm_profile, orbit_equal, record_colour, skeleton
+from .objects import LabelTable, norm_profile, orbit_equal, skeleton
 
 
 class OrbitRegistry:
@@ -33,7 +33,7 @@ class OrbitRegistry:
         # (skeleton, norm_profile | None) -> list of (representative, colour)
         self._orbits: Dict[tuple, List[Tuple[object, int]]] = {}
         self._bags_float: List[Tuple[tuple, int]] = []
-        self._label_table = label_table()
+        self._label_table = LabelTable()
 
     def _fresh(self) -> int:
         c = self._next
@@ -54,7 +54,7 @@ class OrbitRegistry:
     def intern_orbit(self, obj) -> int:
         """Colour for a geometric object, injective on O/SO orbits."""
         exact = self.ctx.mode == EXACT
-        colour = carried_match(obj, self._label_table) if exact else None
+        colour = self._label_table.carried_match(obj) if exact else None
         if colour is None:
             profile = norm_profile(obj, self.ctx) if exact else None
             bucket = self._orbits.setdefault((skeleton(obj), profile), [])
@@ -65,7 +65,7 @@ class OrbitRegistry:
                 colour = self._fresh()
                 bucket.append((obj, colour))
         if exact:
-            record_colour(self._label_table, obj, colour)
+            self._label_table.record_colour(obj, colour)
         return colour
 
     def intern_bag(self, bag: Tuple[tuple, ...]) -> int:

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .engines import RefinementTrace, Verdict, _run, _scalar_colours
-from .graph import GeometricGraph, as_float
-from .numeric import DEFAULT_EPS, EXACT
+from .graph import GeometricGraph, as_float, geometric_graph
+from .numeric import DEFAULT_EPS, EXACT, FLOAT
 from .registry import OrbitRegistry
 
 TWO_PI = 2 * math.pi
@@ -47,11 +47,10 @@ class So2Hash:
     stabilizer: StabilizerInfo
 
 
-def _as_float_points(X) -> List[Tuple[float, float]]:
-    pts = [tuple(float(c) for c in p) for p in X]
-    if any(len(p) != 2 for p in pts):
-        raise ValueError("points must be 2-vectors")
-    return pts
+def _as_float_points(X, eps: float = DEFAULT_EPS) -> List[Tuple[float, float]]:
+    """The 2-vectors X read as a float graph's positions, by the one reader
+    (`NumericContext.coerce`), which refuses a component past the float range."""
+    return list(geometric_graph(2, X, mode=FLOAT, eps=eps).positions)
 
 
 def _rotate(p: Tuple[float, float], a: float) -> Tuple[float, float]:
@@ -115,9 +114,14 @@ def stabilizer_order(X, eps: float = DEFAULT_EPS) -> StabilizerInfo:
     maximal-norm point onto another point of the same norm, so only those
     finitely many candidate angles need checking.
     """
-    pts = _as_float_points(X)
+    pts = _as_float_points(X, eps)
     if not pts:
         raise ValueError("the multiset must be non-empty")
+    return _stabilizer(pts, eps)
+
+
+def _stabilizer(pts: List[Tuple[float, float]], eps: float) -> StabilizerInfo:
+    """stabilizer_order of points already read as floats; continuous for none."""
     if _all_zero(pts, eps):
         return StabilizerInfo(None)
     return StabilizerInfo(sum(1 for _ in _rotations(pts, pts, eps)))
@@ -148,8 +152,12 @@ def so2_hash(X, reg: So2Registry) -> So2Hash:
     stabilizer. Continuous-stabilizer orbits (all zero, or empty) take
     angle 0.
     """
+    return _hash(_as_float_points(X, reg.eps), reg)
+
+
+def _hash(pts: List[Tuple[float, float]], reg: So2Registry) -> So2Hash:
+    """so2_hash of points already read as floats."""
     eps = reg.eps
-    pts = _as_float_points(X)
     bucket = reg.orbits.setdefault(len(pts), [])
     for rep, stab, code in bucket:
         alpha = next(_rotations(rep, pts, eps), None) if pts else 0.0
@@ -157,7 +165,7 @@ def so2_hash(X, reg: So2Registry) -> So2Hash:
             break
     else:
         code, alpha = reg.count, 0.0
-        stab = stabilizer_order(pts, eps) if pts else StabilizerInfo(None)
+        stab = _stabilizer(pts, eps)
         bucket.append((pts, stab, code))
         reg.count += 1
     norm = 1.0 + code
@@ -212,12 +220,12 @@ def run_so2_gwl(
         for v in range(g.n):
             edge_msgs = []
             for u in g.neighbors(v):
-                h = so2_hash([g.rel_vec(v, u)], orbits)
+                h = _hash([g.rel_vec(v, u)], orbits)
                 factor = 1.0 + reg.intern_key(("m0", c[v], c[u], h.orbit_code))
                 edge_msgs.append((factor * h.vector[0] / h.norm, factor * h.vector[1] / h.norm))
             state.append(edge_msgs)
         while True:
-            hashes = [so2_hash(s, orbits) for s in state]
+            hashes = [_hash(s, orbits) for s in state]
             yield [reg.intern_key(("orbit", h.orbit_code)) for h in hashes]
             state = [[hashes[u].vector for u in g.neighbors(v)] for v in range(g.n)]
 

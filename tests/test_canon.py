@@ -30,7 +30,7 @@ from geowl.graph import with_cutoff_sq
 from geowl.engines import _leaves, _nodes, _pair, _rels, _scalar_colours, i_hash_k
 from geowl.linalg import independent_subset, matvec
 from geowl.numeric import exact_context, float_context
-from geowl.objects import _Search, carried_match, label_table
+from geowl.objects import LabelTable
 
 CTX = exact_context()
 O2 = GroupSpec("O", 2)
@@ -381,7 +381,7 @@ def test_the_label_table_holds_each_object_it_labels(grp):
     # labels are cached by id(obj): a table that did not hold its objects
     # could hand a freed object's label to a new object at the same address
     a, b = pinned_by_centre()
-    table = label_table()
+    table = LabelTable()
     sub = weakref.ref(b.children[0].obj)
     assert orbit_equal(a, b, CTX, grp.dim, grp.proper, table)
     del b
@@ -395,12 +395,12 @@ def test_the_label_table_holds_each_object_it_labels(grp):
 @pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
 def test_a_repeated_call_with_the_same_table_adds_no_form(grp):
     a, b = pinned_by_centre()
-    table = label_table()
+    table = LabelTable()
     assert orbit_equal(a, b, CTX, grp.dim, grp.proper, table)
-    forms = dict(table[1])
+    forms = dict(table.forms)
     assert forms
     assert orbit_equal(a, b, CTX, grp.dim, grp.proper, table)
-    assert table[1] == forms
+    assert table.forms == forms
 
 
 @pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
@@ -420,16 +420,16 @@ def test_a_second_basis_of_one_map_adds_no_form(grp):
         c = obj.children
         return Node(obj.colour, obj.obj, (c[1], c[0], *c[2:]))
 
-    table = label_table()
+    table = LabelTable()
 
     def sizes():
-        return {pmap: (len(keys), len(labels)) for pmap, (keys, labels) in table[0].items()}
+        return {pmap: (len(keys), len(labels)) for pmap, (_, keys, labels) in table.readings.items()}
 
     assert orbit_equal(a, b, CTX, grp.dim, grp.proper, table)
-    forms, cached = dict(table[1]), sizes()
+    forms, cached = dict(table.forms), sizes()
     assert forms
     assert orbit_equal(swapped(a), swapped(b), CTX, grp.dim, grp.proper, table)
-    assert table[1] == forms
+    assert table.forms == forms
     assert sizes() == cached
 
 
@@ -478,23 +478,24 @@ def test_a_recorded_map_that_carries_no_rep_falls_back_to_the_search(grp, turn, 
         searched.append(b)
         return orbit_equal(a, b, *args)
 
-    def carry_spy(obj, table):
-        colour = carried_match(obj, table)
+    def carry_spy(table, obj):
+        colour = carried_match(table, obj)
         if isinstance(obj, Node):
-            carried.append((obj, id(obj.obj) in table[3], colour))
+            carried.append((obj, id(obj.obj) in table.recorded, colour))
         return colour
 
     def colours():
         reg = OrbitRegistry(CTX, 3, grp.proper)
         return [reg.intern_orbit(o) for o in (centre, turned, first, mirrored)]
 
+    carried_match = LabelTable.carried_match
     monkeypatch.setattr("geowl.registry.orbit_equal", search_spy)
-    monkeypatch.setattr("geowl.registry.carried_match", carry_spy)
+    monkeypatch.setattr(LabelTable, "carried_match", carry_spy)
     found = colours()
     assert found == [0, 0, 1, 1 if grp.variant == "O" else 2]
     assert carried[-1] == (mirrored, True, None)
     assert searched[-1] is mirrored
-    monkeypatch.setattr("geowl.registry.carried_match", lambda obj, table: None)
+    monkeypatch.setattr(LabelTable, "carried_match", lambda table, obj: None)
     assert colours() == found
 
 
@@ -546,23 +547,27 @@ def test_gwl_on_a_copy_of_a_rigid_cloud_reads_each_object_through_one_map(grp, m
     # map. The first graph's objects are never matched, so none of them is
     # labelled under the copy's map.
     g, h = rigid_copy()
-    reads, interned = [], []
+    reads, interned, calls = [], [], [0]
 
-    def through_spy(self, pmap):
-        reads[-1] += 1
-        return through(self, pmap)
+    def reading_spy(table, pmap):
+        calls[0] += 1
+        return reading(table, pmap)
 
-    def carry_spy(obj, table):
-        reads.append(0)
-        return carried_match(obj, table)
+    def carry_spy(table, obj):
+        # a search between two carried matches reads through pinned maps too
+        before = calls[0]
+        colour = carried_match(table, obj)
+        reads.append(calls[0] - before)
+        return colour
 
     def intern_spy(self, obj):
         interned.append((self, obj))
         return intern_orbit(self, obj)
 
-    through, intern_orbit = _Search.through, OrbitRegistry.intern_orbit
-    monkeypatch.setattr(_Search, "through", through_spy)
-    monkeypatch.setattr("geowl.registry.carried_match", carry_spy)
+    reading, carried_match = LabelTable.reading, LabelTable.carried_match
+    intern_orbit = OrbitRegistry.intern_orbit
+    monkeypatch.setattr(LabelTable, "reading", reading_spy)
+    monkeypatch.setattr(LabelTable, "carried_match", carry_spy)
     monkeypatch.setattr(OrbitRegistry, "intern_orbit", intern_spy)
     verdict, trace = run_gwl(g, h, grp)
     assert not verdict.distinguished and len(trace.rows) > 3
@@ -573,10 +578,11 @@ def test_gwl_on_a_copy_of_a_rigid_cloud_reads_each_object_through_one_map(grp, m
         if k // g.n % 2 == 0:
             _sub_dag(obj, first)
     table = interned[0][0]._label_table
-    copy_maps = [pmap for pmap in table[0] if pmap is not None]
+    copy_maps = [pmap for pmap in table.readings if pmap is not None]
     assert copy_maps
     for pmap in copy_maps:
-        assert not first.keys() & table[0][pmap][1].keys()
+        _, _, labels = table.readings[pmap]
+        assert not first.keys() & labels.keys()
 
 
 @pytest.mark.parametrize("run", [run_gwl, run_igwl, lambda g, h, grp: run_igwl_k(g, h, grp, 3)],
@@ -629,21 +635,22 @@ def test_a_last_map_that_carries_nothing_falls_back_to_the_search(grp, monkeypat
         searched.append(b)
         return orbit_equal(a, b, *args)
 
-    def carry_spy(obj, table):
-        last_maps.append(table[6][0])
-        return carried_match(obj, table)
+    def carry_spy(table, obj):
+        last_maps.append(table.last)
+        return carried_match(table, obj)
 
     def colours():
         reg = OrbitRegistry(CTX, 3, grp.proper)
         return [reg.intern_orbit(o) for o in objs]
 
+    carried_match = LabelTable.carried_match
     monkeypatch.setattr("geowl.registry.orbit_equal", search_spy)
-    monkeypatch.setattr("geowl.registry.carried_match", carry_spy)
+    monkeypatch.setattr(LabelTable, "carried_match", carry_spy)
     found = colours()
     assert found == [0, 0, 0 if grp.variant == "O" else 1]
     assert last_maps[-1] is not None
     assert [id(b) for b in searched] == [id(o) for o in objs[1:]]
-    monkeypatch.setattr("geowl.registry.carried_match", lambda obj, table: None)
+    monkeypatch.setattr(LabelTable, "carried_match", lambda table, obj: None)
     assert colours() == found
 
 
@@ -659,10 +666,10 @@ def test_the_label_table_holds_each_object_it_records_a_map_for(grp):
     reg = OrbitRegistry(CTX, 3, grp.proper)
     table = reg._label_table
     assert [reg.intern_orbit(o) for o in (a, b)] == [0, 0]
-    assert [entry[0] is None for entry in table[3].values()] == [True, False]
-    assert all(id(entry[1]) == key for key, entry in table[3].items())
-    assert [key[1] for key in table[4]] == [3]
-    assert all(id(entry[1]) == key[0] for key, entry in table[4].items())
+    assert [pmap is None for pmap, _ in table.recorded.values()] == [True, False]
+    assert all(id(obj) == key for key, (_, obj) in table.recorded.items())
+    assert [k for _, k in table.tails] == [3]
+    assert all(id(cs) == key for (key, _), (_, cs) in table.tails.items())
     held = weakref.ref(b)
     del b, table
     gc.collect()
@@ -682,7 +689,7 @@ def test_one_children_tuple_pinned_at_two_depths_keeps_both_tails(grp):
     x = Node(0, Leaf(0, ()), tuple(Child(k % 2, Leaf(k % 2, ()), r) for k, r in enumerate(rels)))
     y = Node(0, Leaf(0, (f(1, 0, 0), f(0, 0, 3))), (Child(5, x, f(1, 0, 1)),))
     turn = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
-    table = label_table()
+    table = LabelTable()
     assert orbit_equal(x, rotate_obj(x, turn), CTX, 3, grp.proper, table)
     assert orbit_equal(y, rotate_obj(y, turn), CTX, 3, grp.proper, table)
-    assert sorted(k for _, k in table[4]) == [2, 3]
+    assert sorted(k for _, k in table.tails) == [2, 3]

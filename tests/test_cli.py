@@ -444,6 +444,47 @@ def test_props_dihedral(tmp_path, capsys):
     assert report["dihedrals"]["0,1,2,3"] == 0.0
 
 
+HUGE_EXACT = [["0", "0"], ["1e400", "0"]]
+HUGE_AREA = [["0", "0"], ["1e200", "0"], ["0", "1e200"]]
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        (["props"], HUGE_EXACT),
+        (["props", "--format", "json"], HUGE_EXACT),
+        (["so2", "hash"], HUGE_EXACT),
+        (["so2", "stab"], HUGE_EXACT),
+        (["props"], HUGE_AREA),
+    ],
+    ids=["props", "props-json", "so2-hash", "so2-stab", "props-area"],
+)
+def test_an_exact_value_past_the_float_range_is_named(tmp_path, capsys, argv, points):
+    # the loader accepts exponents up to 4300, but these commands report in
+    # floats: each value that does not fit used to raise OverflowError
+    data = {"dim": 2, "numeric": "exact", "nodes": [{"x": x} for x in points], "edges": [[0, 1]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main(argv + [str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < 200
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_property_that_is_not_a_finite_float_is_refused(tmp_path, capsys, fmt):
+    # the extent, area and distances of these points overflow to inf, which
+    # JSON cannot hold (json.dumps wrote `Infinity`) and text printed as inf
+    nodes = [{"x": [-1.7e308, 0.0]}, {"x": [1.7e308, 0.0]}, {"x": [0.0, 1e308]}]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dim": 2, "numeric": "float", "nodes": nodes, "edges": []}))
+    assert main(["props", str(path), "--format", fmt]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: extents is not a finite float\n"
+
+
 def test_load_warning_is_one_line_per_load(tmp_path, capsys):
     data = {
         "dim": 2, "numeric": "exact", "cutoff": "2",

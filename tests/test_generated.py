@@ -38,7 +38,7 @@ from geowl.engines import report_dict
 from geowl.graph import graph_from_dict, graph_to_dict
 from geowl.linalg import matvec
 from geowl.numeric import exact_context, float_context
-from geowl.objects import norm_profile, skeleton
+from geowl.objects import LabelTable, norm_profile, skeleton
 
 # derandomized so that a run of the unit tests is reproducible
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -225,7 +225,7 @@ def test_the_carried_match_changes_no_verdict_or_trace(data, d, variant):
         return json.dumps([report_dict(test, grp, *run) for test, run in runs.items()])
 
     carried = reports()
-    with mock.patch("geowl.registry.carried_match", lambda obj, table: None):
+    with mock.patch.object(LabelTable, "carried_match", lambda table, obj: None):
         assert reports() == carried
 
 

@@ -243,6 +243,11 @@ def test_loading_a_graph_file_reads_each_component_once(tmp_path, monkeypatch, m
     g = load_graph(str(path))
     assert g.positions[1] == (3, 4, 5) and g.vectors[0] == ((1, 0, 0), (0, 1, 0)) and g.edges == {(0, 1)}
     assert len(calls) == 12  # two positions and two feature vectors of 3 components
+    # a cutoff file is built from the same coerced points: its radius is the one more
+    path.write_text(json.dumps({"dim": 3, "numeric": mode, "nodes": nodes, "cutoff": 6}))
+    calls.clear()
+    assert load_graph(str(path)) == g
+    assert len(calls) == 13
 
 
 def test_json_cutoff_triggers_radial_construction():
@@ -257,6 +262,13 @@ def test_json_cutoff_triggers_radial_construction():
     data["edges"] = []
     with pytest.raises(GraphFormatError):
         graph_from_dict(data)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_an_empty_cutoff_file_loads_as_an_empty_edge_list_file_does(mode):
+    # a cutoff file used to go through build_radial_graph, which wants a point
+    empty = {"dim": 2, "numeric": mode, "nodes": []}
+    assert graph_from_dict({**empty, "cutoff": 1}) == graph_from_dict({**empty, "edges": []})
 
 
 def test_json_parse_error_reports_line_and_column(tmp_path):

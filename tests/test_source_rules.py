@@ -16,10 +16,12 @@ A number enters a numeric mode in `numeric.py` (`NumericContext.coerce`)
 and `graph.py` (the loader, `graph.as_float`) alone, so no other module
 makes a context, except the one shared exact context `objects._EXACT`.
 
-A label table of `objects.orbit_equal` is made per registry, or per call
-when the caller passes none, so its labels last one compared pair at most.
-The maps it records for interned objects, the colours it keeps by label and
-the last map that matched are written and read only through such a table.
+A label table (`objects.LabelTable`) is made per registry, or per
+`orbit_equal` call when the caller passes none, so its labels last one
+compared pair at most. The maps it records for interned objects, the
+colours it keeps by label and the last map that matched are written only
+by its own methods, and every cache keyed by an id() lives in it, each
+entry holding its object.
 """
 import ast
 from pathlib import Path
@@ -214,68 +216,146 @@ def test_label_tables_are_made_only_per_registry_or_per_call():
         for path in SOURCES
         for func, _ in _calls(
             ast.parse(path.read_text(encoding="utf-8")),
-            lambda call: getattr(call.func, "id", getattr(call.func, "attr", None)) == "label_table",
+            lambda call: getattr(call.func, "id", getattr(call.func, "attr", None)) == "LabelTable",
         )
     ]
     assert made == [("objects.py", "orbit_equal"), ("registry.py", "__init__")]
 
 
-def _table_writes(tree):
-    """(enclosing function name, written expression) of each assignment to,
-    or mutating method call on, an item of a label table's entry k, read as
-    `<expr>[k]` with k the literal 5 or 6; the name is None at module level."""
+def _visit_in_scope(tree, visit):
+    """Call visit(node, class name, function name) on every node of tree,
+    with the innermost enclosing class and function (None outside any)."""
+
+    def walk(node, cls, func):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        visit(node, cls, func)
+        for child in ast.iter_child_nodes(node):
+            walk(child, cls, func)
+
+    walk(tree, None, None)
+
+
+MUTATORS = ("setdefault", "update", "pop", "popitem", "clear", "append", "extend")
+KEPT_BY_LABEL = ("recorded", "colours", "last")
+
+
+def _kept_writes(tree):
+    """(class, function, written expression) of each assignment to an
+    attribute named in KEPT_BY_LABEL or to one of its items, and of each
+    mutating method call on such an attribute."""
     found = []
 
-    def entry(node):
-        return (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.slice, ast.Constant)
-            and node.slice.value in (5, 6)
-        )
+    def kept(node):
+        return isinstance(node, ast.Attribute) and node.attr in KEPT_BY_LABEL
 
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
+    def visit(node, cls, func):
         targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
         for target in targets:
-            if isinstance(target, ast.Subscript) and entry(target.value):
-                found.append((func, ast.unparse(target.value)))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and entry(node.func.value):
-            if node.func.attr in ("setdefault", "update", "pop", "popitem", "clear", "append", "extend"):
-                found.append((func, ast.unparse(node.func.value)))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
+            for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                written = t.value if isinstance(t, ast.Subscript) else t
+                if kept(written):
+                    found.append((cls, func, ast.unparse(written)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and kept(node.func.value):
+            if node.func.attr in MUTATORS:
+                found.append((cls, func, ast.unparse(node.func.value)))
 
-    visit(tree, None)
+    _visit_in_scope(tree, visit)
     return found
 
 
 def test_recorded_maps_are_kept_only_in_a_label_table():
     # a recorded map, a colour kept by label and the last map that matched
     # are kept by id(obj) or by label for as long as their table lives, so
-    # they are written and read only through a table the caller passes: the
-    # registry's own, or orbit_equal's per call, never one at module level
-    table_arg = {"carried_match": 1, "record_map": 0, "record_colour": 0}
+    # they are written only by the table's own methods, and reached only
+    # through a table the caller holds: the registry's own, or
+    # orbit_equal's per call, never one at module level
+    methods = ("carried_match", "record_map", "record_colour")
     calls = [
-        (path.name, func, call.func.id, ast.unparse(call.args[table_arg[call.func.id]]))
+        (path.name, func, call.func.attr, ast.unparse(call.func.value))
         for path in SOURCES
         for func, call in _calls(
             ast.parse(path.read_text(encoding="utf-8")),
-            lambda call: getattr(call.func, "id", None) in table_arg,
+            lambda call: getattr(call.func, "attr", None) in methods,
         )
     ]
     assert calls == [
-        ("objects.py", "carried_match", "record_map", "table"),
+        ("objects.py", "carried_match", "record_map", "self"),
         ("objects.py", "orbit_equal", "record_map", "table"),
         ("registry.py", "intern_orbit", "carried_match", "self._label_table"),
         ("registry.py", "intern_orbit", "record_colour", "self._label_table"),
     ]
     writes = [
-        (path.name, func, written)
+        (path.name, *write)
         for path in SOURCES
-        for func, written in _table_writes(ast.parse(path.read_text(encoding="utf-8")))
+        for write in _kept_writes(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert writes == [
-        ("objects.py", "record_map", "table[6]"),
-        ("objects.py", "record_colour", "table[5]"),
+        ("objects.py", "LabelTable", "__init__", "self.last"),
+        ("objects.py", "LabelTable", "__init__", "self.recorded"),
+        ("objects.py", "LabelTable", "__init__", "self.colours"),
+        ("objects.py", "LabelTable", "record_map", "self.recorded"),
+        ("objects.py", "LabelTable", "record_map", "self.last"),
+        ("objects.py", "LabelTable", "record_colour", "self.recorded"),
+        ("objects.py", "LabelTable", "record_colour", "self.colours"),
     ]
+
+
+def _id_of(key):
+    """The expression whose id() the dict key expression `key` takes, alone
+    or in a tuple; None when it takes none."""
+    for k in key.elts if isinstance(key, ast.Tuple) else [key]:
+        if isinstance(k, ast.Call) and getattr(k.func, "id", None) == "id" and len(k.args) == 1:
+            return k.args[0]
+    return None
+
+
+def _id_keyed(tree):
+    """(class, function, dict expression, stored value or None, id's
+    argument) of each subscript and each get/setdefault/pop call whose key
+    is an id() call, alone or in a tuple, and of each `id(x) in d`."""
+    found = []
+
+    def visit(node, cls, func):
+        if isinstance(node, ast.Assign):
+            for t in node.targets:
+                if isinstance(t, ast.Subscript) and _id_of(t.slice) is not None:
+                    found.append((cls, func, ast.unparse(t.value), node.value, _id_of(t.slice)))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and _id_of(node.slice):
+            found.append((cls, func, ast.unparse(node.value), None, _id_of(node.slice)))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args:
+            if node.func.attr in ("get", "setdefault", "pop") and _id_of(node.args[0]) is not None:
+                stored = node.args[1] if node.func.attr == "setdefault" else None
+                found.append((cls, func, ast.unparse(node.func.value), stored, _id_of(node.args[0])))
+        elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+            if _id_of(node.left) is not None:
+                found.append((cls, func, ast.unparse(node.comparators[0]), None, _id_of(node.left)))
+
+    _visit_in_scope(tree, visit)
+    return found
+
+
+def test_every_id_keyed_cache_is_in_a_label_table_and_holds_its_object():
+    # an id() names an object only while it lives: a cache keyed by one
+    # must hold the object, or a freed object's entry would be handed to a
+    # new object at the same address, and it must live no longer than the
+    # label table that keeps it
+    found = [
+        (path.name, *entry)
+        for path in SOURCES
+        for entry in _id_keyed(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found and all((name, cls) == ("objects.py", "LabelTable") for name, cls, *_ in found), found
+    stores = [(func, cache) for _, _, func, cache, stored, _ in found if stored is not None]
+    assert stores == [
+        ("label", "labels"),
+        ("tail", "self.tails"),
+        ("record_map", "self.recorded"),
+        ("record_colour", "self.recorded"),
+    ]
+    for _, _, func, _, stored, of in found:
+        if stored is not None:
+            held = stored.elts if isinstance(stored, ast.Tuple) else []
+            assert ast.unparse(of) in [ast.unparse(e) for e in held], func
