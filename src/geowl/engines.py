@@ -2,8 +2,8 @@
 
 Every engine is a colour stream: `colours(g)` is a generator that yields
 the t = 0 colours and then one colour list per iteration, keeping any
-per-graph state (GWL's growing objects, the relative vectors built at the
-first iteration) as its own locals. Both graphs' streams share one
+per-graph state (GWL's growing objects, the relative vectors and k-body
+geometry built once) as its own locals. Both graphs' streams share one
 registry, so colour ids are directly comparable between the two graphs.
 `_refine` walks the two streams side by side and compares per-graph
 colour histograms at every iteration (including t=0); it stops at the
@@ -14,7 +14,9 @@ GWL and IGWL colour objects by `OrbitRegistry.intern_orbit`, which is
 injective on O(d)/SO(d) orbits. `i_hash_k` is the lossy k-body variant
 behind `run_igwl_k`: it colours by the multiset of per-tuple invariants
 over ordered (k-1)-tuples of neighbours drawn with repetition, so order k
-only sees configurations of at most k nodes at a time.
+only sees configurations of at most k nodes at a time. A tuple's Gram
+entries, shape and sign never change, so a stream builds them once per node
+and each iteration reads only its picks' colours.
 """
 from __future__ import annotations
 
@@ -293,28 +295,46 @@ def run_igwl(
     return _run(g1, g2, grp, max_iters, colours)
 
 
-def _tuple_descriptor(
-    centre_vecs: Tuple[Vec, ...],
-    picks: Sequence[Tuple[int, Tuple[Vec, ...], Vec]],
-    reg: OrbitRegistry,
-) -> tuple:
-    colours = tuple(p[0] for p in picks)
-    stack: List[Vec] = list(centre_vecs)
-    shape = [len(centre_vecs)]
-    for _, vecs, rel in picks:
-        stack.extend(vecs)
-        stack.append(rel)
-        shape.append(len(vecs) + 1)
-    gram = tuple(
-        tuple(linalg.dot(stack[a], stack[b]) for b in range(a, len(stack)))
-        for a in range(len(stack))
-    )
-    sign = 0
-    if reg.proper:
-        idx = linalg.independent_subset(stack, reg.ctx, reg.dim)
-        if len(idx) == reg.dim:
-            sign = linalg.det_sign([stack[i] for i in idx], reg.ctx)
-    return (colours, tuple(shape), gram, sign)
+def _kbody_geometry(centre_vecs: Tuple[Vec, ...], blocks: Sequence, k: int, reg: OrbitRegistry) -> List[tuple]:
+    """The colour-free part of `i_hash_k`: one (shape, Gram entries, sign)
+    per ordered (k-1)-tuple of neighbours' blocks, in `product` order. A
+    neighbour's block is its vectors, then its relative position; a tuple's
+    stack is the centre's vectors, then its blocks. The Gram entries (the
+    stack's upper triangle, row by row) are read from one symmetric table of
+    dots over the centre's and every block's vectors."""
+    pool, spans = list(centre_vecs), []
+    for vecs, rel in blocks:
+        spans.append(range(len(pool), len(pool) + len(vecs) + 1))
+        pool += (*vecs, rel)
+    table = [[0] * len(pool) for _ in pool]
+    for a, u in enumerate(pool):
+        for b in range(a, len(pool)):
+            table[a][b] = table[b][a] = linalg.dot(u, pool[b])
+    geometry, head, shapes = [], range(len(centre_vecs)), {}
+    for picks in product(spans, repeat=k - 1):
+        idx = [*head, *chain.from_iterable(picks)]
+        gram = tuple([table[a][b] for s, a in enumerate(idx) for b in idx[s:]])
+        sign = 0
+        if reg.proper:
+            kept = linalg.independent_subset([pool[a] for a in idx], reg.ctx, reg.dim)
+            if len(kept) == reg.dim:
+                sign = linalg.det_sign([pool[idx[a]] for a in kept], reg.ctx)
+        shape = (len(head), *map(len, picks))
+        geometry.append((shapes.setdefault(shape, shape), gram, sign))
+    return geometry
+
+
+def _kbody_colour(centre: int, colours: Sequence[int], geometry: list, k: int, reg: OrbitRegistry) -> int:
+    """The colour step of `i_hash_k`: each tuple's descriptor (its
+    neighbours' colours, shape, Gram entries, sign), sorted, interned as the
+    bag's exact part and its Gram entries in that order. With the same
+    colours and shape, two flat Gram tuples sort as their rows would."""
+    if not geometry:
+        return reg.intern_key(("kbody-isolated", k, centre))
+    tuples = zip(product(colours, repeat=k - 1), geometry)
+    bag = sorted([(cs, shape, gram, sign) for cs, (shape, gram, sign) in tuples])
+    exact = ("kbody", k, centre, tuple((cs, shape, sign) for cs, shape, _, sign in bag))
+    return reg.intern_bag(exact, tuple(chain.from_iterable(gram for _, _, gram, _ in bag)))
 
 
 def i_hash_k(
@@ -330,18 +350,14 @@ def i_hash_k(
     the Gram matrix of the stacked vectors [centre's, then per neighbour
     its vectors and the relative position] needs no within-tuple
     canonicalisation. Under a rotation-only group the stack's orientation
-    sign joins the descriptor when the stack spans the space.
+    sign joins the descriptor when the stack spans the space. This is
+    `run_igwl_k`'s two steps at once: the colour-free `_kbody_geometry`, which
+    a stream builds once, and the per-iteration `_kbody_colour`.
     """
     if k < 2:
         raise ValueError("body order k must be at least 2")
-    c_centre, centre_vecs = centre
-    if not nbrs:
-        return reg.intern_key(("kbody-isolated", k, c_centre))
-
-    descriptors = sorted(
-        _tuple_descriptor(centre_vecs, picks, reg) for picks in product(nbrs, repeat=k - 1)
-    )
-    return reg.intern_bag(("kbody", k, c_centre, tuple(descriptors)))
+    geometry = _kbody_geometry(centre[1], [(vecs, rel) for _, vecs, rel in nbrs], k, reg)
+    return _kbody_colour(centre[0], [c for c, _, _ in nbrs], geometry, k, reg)
 
 
 def run_igwl_k(
@@ -359,10 +375,12 @@ def run_igwl_k(
         c = _scalar_colours(g, reg)
         yield c
         rels = _rels(g)
+        geometry = [_kbody_geometry(g.vectors[i], [(g.vectors[j], r) for j, r in nbrs], k, reg)
+                    for i, nbrs in enumerate(rels)]
         while True:
             c = [
-                i_hash_k((c[i], g.vectors[i]), [(c[j], g.vectors[j], r) for j, r in nbrs], k, reg)
-                for i, nbrs in enumerate(rels)
+                _kbody_colour(c[i], [c[j] for j, _ in nbrs], geo, k, reg)
+                for i, (nbrs, geo) in enumerate(zip(rels, geometry))
             ]
             yield c
 

@@ -11,14 +11,16 @@ searches linearly within a bucket. In exact mode the registry's one
 centre was matched under, or the last map that matched when its centre has
 none (`LabelTable.carried_match`), and looks its label up among the labels
 of every object interned so far; only a miss builds and searches a bucket.
-A fresh registry is deterministic: colours are handed out in
-first-encounter order.
+A descriptor multiset comes as its hashable exact part and its numbers:
+exact mode hashes both, float mode compares the numbers through the
+tolerance only with earlier bags of the same exact part. A fresh registry
+is deterministic: colours are handed out in first-encounter order.
 """
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Tuple
 
-from .numeric import EXACT, NumericContext
+from .numeric import EXACT, Number, NumericContext
 from .objects import LabelTable, norm_profile, orbit_equal, skeleton
 
 
@@ -28,11 +30,12 @@ class OrbitRegistry:
         self.dim = dim
         self.proper = proper
         self._next = 0
-        # hashable keys and exact-mode bags -> colour
+        # hashable keys and exact-mode (exact part, numbers) bags -> colour
         self._keys: Dict[Hashable, int] = {}
         # (skeleton, norm_profile | None) -> list of (representative, colour)
         self._orbits: Dict[tuple, List[Tuple[object, int]]] = {}
-        self._bags_float: List[Tuple[tuple, int]] = []
+        # float mode: exact part of a bag -> list of (numbers, colour)
+        self._bags: Dict[Hashable, List[Tuple[tuple, int]]] = {}
         self._label_table = LabelTable()
 
     def _fresh(self) -> int:
@@ -68,30 +71,24 @@ class OrbitRegistry:
             self._label_table.record_colour(obj, colour)
         return colour
 
-    def intern_bag(self, bag: Tuple[tuple, ...]) -> int:
-        """Colour for a sorted tuple of descriptors.
+    def intern_bag(self, exact: Hashable, numbers: Tuple[Number, ...]) -> int:
+        """Colour for a multiset of descriptors, given as its hashable exact
+        part and its numbers in a fixed order, which the exact part lays out.
 
-        Exact-mode descriptors are fully hashable and share the key dict;
-        float descriptors carry floats that must compare through the
-        tolerance, so matching falls back to a linear scan.
+        Exact mode keys the key dict by both. Float numbers compare through
+        the tolerance, so float mode keeps one bucket per exact part and
+        takes the first bag in it, in insertion order, whose numbers match
+        pairwise; bags whose exact parts differ are never compared.
         """
         if self.ctx.mode == EXACT:
-            c = self._keys.get(bag)
+            c = self._keys.get((exact, numbers))
             if c is None:
-                c = self._keys[bag] = self._fresh()
+                c = self._keys[exact, numbers] = self._fresh()
             return c
-        for other, colour in self._bags_float:
-            if self._bag_eq(bag, other):
+        bucket = self._bags.setdefault(exact, [])
+        for other, colour in bucket:
+            if all(map(self.ctx.eq, numbers, other)):
                 return colour
         colour = self._fresh()
-        self._bags_float.append((bag, colour))
+        bucket.append((numbers, colour))
         return colour
-
-    def _bag_eq(self, a, b) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, float):
-            return self.ctx.eq(a, b)
-        if isinstance(a, tuple):
-            return len(a) == len(b) and all(self._bag_eq(x, y) for x, y in zip(a, b))
-        return a == b

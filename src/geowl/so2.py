@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .engines import RefinementTrace, Verdict, _run, _scalar_colours
 from .graph import GeometricGraph, as_float, geometric_graph
-from .numeric import DEFAULT_EPS, EXACT, FLOAT
+from .numeric import DEFAULT_EPS, EXACT, FLOAT, NumericError
 from .registry import OrbitRegistry
 
 TWO_PI = 2 * math.pi
@@ -48,9 +48,13 @@ class So2Hash:
 
 
 def _as_float_points(X, eps: float = DEFAULT_EPS) -> List[Tuple[float, float]]:
-    """The 2-vectors X read as a float graph's positions, by the one reader
-    (`NumericContext.coerce`), which refuses a component past the float range."""
-    return list(geometric_graph(2, X, mode=FLOAT, eps=eps).positions)
+    """The 2-vectors X to scan, read as floats by the one reader
+    (`NumericContext.coerce`), refusing a component past 2**509, where the
+    rotation scan's squared distances would overflow."""
+    pts = list(geometric_graph(2, X, mode=FLOAT, eps=eps).positions)
+    if any(abs(c) > 2.0**509 for p in pts for c in p):
+        raise NumericError("a component past 2**509 is too large for the rotation scan")
+    return pts
 
 
 def _rotate(p: Tuple[float, float], a: float) -> Tuple[float, float]:
@@ -243,7 +247,7 @@ def equivariant_sum_demo(X) -> Tuple[float, float]:
     stabilizer-rescaled angle instead.
     """
     sx = sy = 0.0
-    for p in _as_float_points(X):
+    for p in geometric_graph(2, X, mode=FLOAT).positions:
         sx += p[0]
         sy += p[1]
     return (sx, sy)

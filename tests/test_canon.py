@@ -19,6 +19,7 @@ from geowl import (
     apply_isometry,
     gen_kchain,
     gen_random_cloud,
+    linalg,
     orbit_equal,
     random_isometry,
     run_gwl,
@@ -227,6 +228,48 @@ def test_i_hash_k_rejects_low_body_order():
     reg = OrbitRegistry(CTX, 2, proper=False)
     with pytest.raises(ValueError):
         i_hash_k((0, ()), [(1, (), f(1, 0))], 1, reg)
+
+
+@pytest.mark.parametrize(
+    "a, b, proper",
+    [
+        # one neighbour's colour
+        (((0, ()), [(1, (), (1.0, 2.0))]), ((0, ()), [(2, (), (1.0, 2.0))]), False),
+        # a vector moved from the centre onto the neighbour: shape (1, 1) against (0, 2)
+        (((0, ((0.5, 1.0),)), [(1, (), (1.0, 2.0))]), ((0, ()), [(1, ((0.5, 1.0),), (1.0, 2.0))]), False),
+        # a chiral pair of neighbours against its mirror image
+        (
+            ((0, ()), [(1, (), (1.0, 0.0)), (1, (), (1.0, 2.0))]),
+            ((0, ()), [(1, (), (1.0, 0.0)), (1, (), (1.0, -2.0))]),
+            True,
+        ),
+    ],
+    ids=["colour", "shape", "sign"],
+)
+def test_float_bags_with_the_same_numbers_and_another_exact_part_differ(a, b, proper, monkeypatch):
+    numbers = []
+    intern_bag = OrbitRegistry.intern_bag
+
+    def spy(reg, exact, nums):
+        numbers.append(nums)
+        return intern_bag(reg, exact, nums)
+
+    monkeypatch.setattr(OrbitRegistry, "intern_bag", spy)
+    reg = OrbitRegistry(float_context(), 2, proper)
+    k = len(a[1]) + 1
+    assert i_hash_k(*a, k, reg) != i_hash_k(*b, k, reg)
+    assert numbers[0] == numbers[1]
+
+
+@pytest.mark.filterwarnings("ignore::geowl.numeric.FragileComparisonWarning")
+def test_float_bags_within_the_tolerance_take_the_first_encountered_colour():
+    reg = OrbitRegistry(float_context(1e-9), 2, proper=False)
+    exact = ("kbody", 2, 0, (((1,), (0, 1), 0),))
+    first = reg.intern_bag(exact, (1.0,))
+    second = reg.intern_bag(exact, (1.0 + 1.5e-9,))  # past the first's band
+    assert second != first
+    assert reg.intern_bag(exact, (1.0 + 0.75e-9,)) == first  # within both bands
+    assert reg.intern_bag(exact, (1.0 + 1.6e-9,)) == second  # within the second's only
 
 
 def test_orbit_equal_reflexive_symmetric_transitive():
@@ -600,6 +643,29 @@ def test_each_stream_builds_its_relative_vectors_once(run, monkeypatch):
     _, trace = run(g, h, SO3)
     assert len(trace.rows) >= 3
     assert [count for _, count in calls.values()] == [2 * len(g.edges), 2 * len(h.edges)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("grp", [O3, SO3], ids=["O", "SO"])
+def test_each_stream_computes_its_k_body_dots_once(grp, k, monkeypatch):
+    # a node's Gram entries, shapes and signs do not depend on the colours,
+    # so a run of one iteration computes as many dot products as a longer one
+    g, h = rigid_copy()
+    calls = []
+    dot = linalg.dot
+
+    def spy(a, b):
+        calls.append(1)
+        return dot(a, b)
+
+    monkeypatch.setattr(linalg, "dot", spy)
+    counts = []
+    for budget in (1, None):
+        calls.clear()
+        _, trace = run_igwl_k(g, h, grp, k, max_iters=budget)
+        counts.append(len(calls))
+    assert len(trace.rows) >= 3
+    assert counts[0] == counts[1] > 0
 
 
 def test_gwl_on_a_copy_of_the_cube_is_carried_onto_objects_that_are_not_representatives(monkeypatch):

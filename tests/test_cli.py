@@ -472,6 +472,19 @@ def test_an_exact_value_past_the_float_range_is_named(tmp_path, capsys, argv, po
     assert len(captured.err) < 200
 
 
+@pytest.mark.parametrize("cmd", ["hash", "stab"])
+def test_so2_tools_refuse_a_point_whose_squares_overflow(tmp_path, capsys, cmd):
+    # the rotation scan squares unscaled coordinates: these used to raise
+    # OverflowError out of main
+    nodes = [{"x": [0, 0]}, {"x": [1.7e308, 0]}, {"x": [0, 1e308]}]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dim": 2, "numeric": "float", "nodes": nodes, "edges": []}))
+    assert main(["so2", cmd, str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_a_property_that_is_not_a_finite_float_is_refused(tmp_path, capsys, fmt):
     # the extent, area and distances of these points overflow to inf, which

@@ -414,10 +414,10 @@ def test_exact_engines_compare_only_ints(monkeypatch):
         seen.append(a + b)
         return push(matcher, a, b)
 
-    def bagged(reg, bag):
-        # a k-body bag holds (colours, shape, Gram rows, sign) descriptors
-        seen.append(tuple(x for descriptor in bag[3] for row in descriptor[2] for x in row))
-        return intern_bag(reg, bag)
+    def bagged(reg, exact, numbers):
+        # a k-body bag's numbers are its descriptors' Gram entries
+        seen.append(numbers)
+        return intern_bag(reg, exact, numbers)
 
     monkeypatch.setattr(GramMatcher, "push", pushed)
     monkeypatch.setattr(OrbitRegistry, "intern_bag", bagged)

@@ -3,10 +3,12 @@ orbit colours are invariant under isometries, isometric copies are never
 separated, a separating verdict is always confirmed by the oracle, the
 exact orbit search agrees with the float one, neither the registry's label
 table nor the match carried from an object's centre changes a verdict,
-float verdicts do not depend on the unit of length, and a graph file reads
-back as the graph that was written."""
+float verdicts do not depend on the unit of length, k-body IGWL colours as
+its per-tuple definition does, and a graph file reads back as the graph
+that was written."""
 import itertools
 import json
+import warnings
 from unittest import mock
 from fractions import Fraction
 from math import ldexp
@@ -34,10 +36,10 @@ from geowl import (
     run_so2_gwl,
     run_wl,
 )
-from geowl.engines import report_dict
+from geowl.engines import _rels, _run, _scalar_colours, i_hash_k, report_dict
 from geowl.graph import graph_from_dict, graph_to_dict
-from geowl.linalg import matvec
-from geowl.numeric import exact_context, float_context
+from geowl.linalg import det_sign, dot, independent_subset, matvec
+from geowl.numeric import FragileComparisonWarning, exact_context, float_context
 from geowl.objects import LabelTable, norm_profile, skeleton
 
 # derandomized so that a run of the unit tests is reproducible
@@ -265,6 +267,146 @@ def test_float_verdicts_do_not_depend_on_a_power_of_two_unit(data, unit, k, vari
 
     assert floats(k) == floats(0)
     assert triangles(k) == triangles(0)
+
+
+def reference_descriptor(centre_vecs, picks, reg):
+    """One tuple's (colours, shape, Gram rows, sign), built from its own
+    stack: the per-tuple definition of a k-body descriptor."""
+    stack, shape = list(centre_vecs), [len(centre_vecs)]
+    for _, vecs, rel in picks:
+        stack += [*vecs, rel]
+        shape.append(len(vecs) + 1)
+    gram = tuple(tuple(dot(stack[a], stack[b]) for b in range(a, len(stack))) for a in range(len(stack)))
+    sign = 0
+    if reg.proper:
+        idx = independent_subset(stack, reg.ctx, reg.dim)
+        if len(idx) == reg.dim:
+            sign = det_sign([stack[i] for i in idx], reg.ctx)
+    return tuple(p[0] for p in picks), tuple(shape), gram, sign
+
+
+def bag_eq(ctx, a, b):
+    """Nested bags compared position by position: floats through the
+    tolerance, everything else exactly."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return ctx.eq(a, b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(bag_eq(ctx, x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def reference_i_hash_k(centre, nbrs, k, reg, scanned):
+    """i_hash_k by its definition: the sorted descriptors are one bag; an
+    exact bag is hashed, and a float bag takes the colour of the first bag
+    in scanned (every float bag of the run so far) that bag_eq matches."""
+    if not nbrs:
+        return reg.intern_key(("kbody-isolated", k, centre[0]))
+    picks = itertools.product(nbrs, repeat=k - 1)
+    bag = ("kbody", k, centre[0], tuple(sorted(reference_descriptor(centre[1], p, reg) for p in picks)))
+    if reg.ctx.mode == "exact":
+        return reg.intern_key(bag)
+    for other, colour in scanned:
+        if bag_eq(reg.ctx, bag, other):
+            return colour
+    scanned.append((bag, reg.intern_key(("reference float bag", len(scanned)))))  # a fresh colour
+    return scanned[-1][1]
+
+
+def reference_run_igwl_k(g1, g2, grp, k):
+    scanned = []
+
+    def colours(g, reg):
+        c = _scalar_colours(g, reg)
+        yield c
+        rels = _rels(g)
+        while True:
+            c = [
+                reference_i_hash_k(
+                    (c[i], g.vectors[i]), [(c[j], g.vectors[j], r) for j, r in nbrs], k, reg, scanned
+                )
+                for i, nbrs in enumerate(rels)
+            ]
+            yield c
+
+    return _run(g1, g2, grp, None, colours)
+
+
+# float copies stretched by these factors have Gram entries within one
+# tolerance band (1e-9) of each other or a few bands apart: a Gram entry
+# of at least 1 moves by about twice the stretch, so the middle factor
+# matches the first two, which do not match each other
+STRETCHES = [1.0, 1 + 7e-10, 1 + 3.5e-10, 1 + 1e-9, 1 + 3e-9]
+
+
+def stretched(s):
+    return lambda v: tuple(float(c) * s for c in v)
+
+
+@st.composite
+def neighbourhoods(draw, d, vectors):
+    """(centre, nbrs) for i_hash_k: colours 0-1, 0-3 neighbours, and at most
+    one vector per node when vectors is set."""
+
+    def vecs():
+        return tuple(draw(st.lists(coords(d), max_size=1 if vectors else 0)))
+
+    centre = (draw(st.integers(0, 1)), vecs())
+    return centre, [(draw(st.integers(0, 1)), vecs(), draw(coords(d))) for _ in range(draw(st.integers(0, 3)))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.data(), st.sampled_from([2, 3]), st.sampled_from(["exact", "float"]), st.booleans(), st.booleans(),
+    st.integers(2, 4),
+)
+def test_i_hash_k_colours_as_its_per_tuple_definition(data, d, mode, vectors, proper, k):
+    # calls on one registry: each a fresh neighbourhood or the first one
+    # again, a float one stretched, so that bags meet near-equal bags
+    first = data.draw(neighbourhoods(d, vectors))
+    calls = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        centre, nbrs = first if data.draw(st.booleans()) else data.draw(neighbourhoods(d, vectors))
+        if mode == "float":
+            up = stretched(data.draw(st.sampled_from(STRETCHES)))
+            centre = (centre[0], tuple(map(up, centre[1])))
+            nbrs = [(c, tuple(map(up, vs)), up(r)) for c, vs, r in nbrs]
+        calls.append((centre, nbrs))
+    ctx = exact_context() if mode == "exact" else float_context()
+    reg, ref, scanned = OrbitRegistry(ctx, d, proper), OrbitRegistry(ctx, d, proper), []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FragileComparisonWarning)
+        got = [i_hash_k(centre, nbrs, k, reg) for centre, nbrs in calls]
+        assert got == [reference_i_hash_k(centre, nbrs, k, ref, scanned) for centre, nbrs in calls]
+
+
+@st.composite
+def kbody_pairs(draw, d):
+    """A near_copies pair, optionally with at most one vector per node (the
+    same in both graphs), in either mode; a float second graph is stretched."""
+    g1, g2 = draw(near_copies(d))
+    vectors = [draw(st.lists(coords(d), max_size=1)) for _ in range(g1.n)] if draw(st.booleans()) else None
+    mode = draw(st.sampled_from(["exact", "float"]))
+    stretch = draw(st.sampled_from(STRETCHES))
+
+    def rebuilt(g, s):
+        up = stretched(s) if mode == "float" else tuple
+        vs = [[up(v) for v in vecs] for vecs in vectors] if vectors else None
+        return geometric_graph(d, [up(x) for x in g.positions], sorted(g.edges), g.scalars, vs, mode=mode)
+
+    return rebuilt(g1, 1), rebuilt(g2, stretch)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from([2, 3]), st.sampled_from(["O", "SO"]), st.integers(2, 4))
+def test_run_igwl_k_colours_as_its_per_tuple_definition(data, d, variant, k):
+    g1, g2 = data.draw(kbody_pairs(d))
+    grp = GroupSpec(variant, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FragileComparisonWarning)
+        got = report_dict("igwl-k", grp, *run_igwl_k(g1, g2, grp, k))
+        assert got == report_dict("igwl-k", grp, *reference_run_igwl_k(g1, g2, grp, k))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
